@@ -7,22 +7,22 @@ samples temperature and humidity together (an atomic ``Single`` I/O
 block with a ``Timely`` member), folds them into a running summary, and
 uplinks once per round.
 
-We sweep the transmitter distance.  Close up, the harvest sustains the
-load and nothing ever fails.  Further away the capacitor duty-cycles:
-the node browns out mid-round, sleeps dark until recharged, and resumes
-from its committed task — re-executing only the I/O whose semantics
-demand it.  Compare EaseIO's wall-clock against Alpaca's as the
-distance grows (the Figure 13 effect).
+We sweep the transmitter distance with the Figure 13 RF link as an
+energy environment (``rf:`` spec, 12 uF buffer starting at the turn-on
+threshold).  Close up, the harvest sustains the load and nothing ever
+fails.  Further away the capacitor duty-cycles: the node browns out
+mid-round, sleeps dark until recharged, and resumes from its committed
+task — re-executing only the I/O whose semantics demand it.  Compare
+EaseIO's wall-clock against Alpaca's as the distance grows (the
+Figure 13 effect).
 
 Run:  python examples/harvested_logger.py
 """
 
-from repro.bench.runner import rf_distance_harvester
 from repro.core import ProgramBuilder, run_program
 from repro.core.run import nv_state
+from repro.env import parse_env
 from repro.errors import NonTermination
-from repro.hw.energy import Capacitor
-from repro.kernel import NoFailures
 
 ROUNDS = 2
 
@@ -79,15 +79,14 @@ def main():
           f"{'alpaca fails':>12s} {'easeio fails':>12s} {'uplinks':>8s}")
     print("-" * 80)
     for distance in (30.0, 52.0, 58.0, 64.0):
+        spec = f"rf:distance_inch={distance:g},seed=3,cap_uf=12,start_v=2.8"
         cells = {}
         for runtime in ("alpaca", "easeio"):
             try:
                 result = run_program(
                     build_logger(),
                     runtime=runtime,
-                    failure_model=NoFailures(),
-                    harvest=rf_distance_harvester(distance, seed=3),
-                    capacitor=Capacitor(capacitance_f=12e-6, voltage=2.8),
+                    failure_model=parse_env(spec),
                     seed=5,
                     nontermination_limit=300,
                 )
@@ -100,7 +99,7 @@ def main():
                 # the uplink's energy cost exceeds one charge cycle and
                 # every attempt re-pays the full I/O bill: a livelock
                 cells[runtime] = ("  livelock".rjust(12), "> 300".rjust(12), None)
-        harvest_mw = rf_distance_harvester(distance).mean_power_mw()
+        harvest_mw = parse_env(spec).source.mean_power_mw()
         done = cells["easeio"][2]
         uplinks = int(nv_state(done, ("uplinks",))["uplinks"]) if done else 0
         print(
@@ -110,10 +109,11 @@ def main():
             f"{uplinks:8d}"
         )
     print()
-    print("Close to the transmitter both runtimes cruise.  At distance the")
-    print("two-packet uplink exceeds one capacitor charge: a runtime that")
-    print("re-transmits completed packets can never finish the task, while")
-    print("EaseIO lands one packet per energy cycle and completes.")
+    print("Close to the transmitter both runtimes cruise.  With distance the")
+    print("two-packet uplink outgrows one capacitor charge: a runtime that")
+    print("re-transmits completed packets stalls, finishing only when fading")
+    print("briefly lifts the harvest (or never), while EaseIO lands one")
+    print("packet per energy cycle and completes.")
 
 
 if __name__ == "__main__":

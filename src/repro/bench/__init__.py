@@ -5,12 +5,11 @@
 """
 
 from repro.bench.experiments import EXPERIMENTS, ExperimentResult
-from repro.bench.runner import Aggregate, rf_distance_harvester, run_many
+from repro.bench.runner import Aggregate, run_many
 
 __all__ = [
     "Aggregate",
     "EXPERIMENTS",
     "ExperimentResult",
-    "rf_distance_harvester",
     "run_many",
 ]

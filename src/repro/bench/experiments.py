@@ -370,11 +370,11 @@ FIG13_DISTANCES = (52.0, 55.0, 58.0, 61.0, 64.0)
 def fig13_environment(distance_inch: float, seed: int = 0):
     """The Figure-13 testbed as an energy environment.
 
-    Same link physics as the legacy ``rf_distance_harvester`` path,
-    but expressed through :mod:`repro.env`: the RF source charges the
-    board capacitor against the workload's draw and failures *emerge*
-    from the energy budget — so the sweep is an ``--env`` spec away
-    from any check/fuzz/sweep campaign (``rf:distance_inch=...``).
+    The RF source (Friis link into a knee rectifier, see
+    :class:`~repro.env.sources.RFSource`) charges the board capacitor
+    against the workload's draw and failures *emerge* from the energy
+    budget — so the sweep is an ``--env`` spec away from any
+    check/fuzz/sweep campaign (``rf:distance_inch=...``).
     The buffer starts at the turn-on threshold: the device has just
     woken, not banked a full charge.
     """

@@ -22,13 +22,12 @@ Benchmarks (deterministic, fixed seeds):
     back-to-back continuous-power FIR runs — pure interpreter speed,
     no failure machinery.
 
-``--compare`` runs every benchmark three times: on the **reference
-path** (``repro.fastpath`` disabled — the simulator exactly as it
-behaved before the fast path existed), on the fast path, and on the
-**bytecode VM** path (``repro.vm``), recording the honest same-machine
-speedup of both accelerated paths.  Timed walls are the best of
-``--repeats`` back-to-back passes (min-of-N, the standard defence
-against scheduler noise).
+``--compare`` runs every benchmark twice: on the **reference path**
+(``REPRO_SIM_PATH=reference`` — per-run rebuilds, byte round-trip
+memory, the generator interpreter) and on the default **VM path**
+(:mod:`repro.vm`), recording the honest same-machine speedup of the
+VM.  Timed walls are the best of ``--repeats`` back-to-back passes
+(min-of-N, the standard defence against scheduler noise).
 
 ``BENCH_sim.json`` is a *trajectory*, not a snapshot: every invocation
 appends a ``history`` entry (git rev, date, per-benchmark speedups) to
@@ -44,8 +43,9 @@ failures, I/O, commits, energy) alongside how long it took — a perf
 number whose workload silently changed is no longer comparable, and now
 the file says so.  ``--metrics-gate PCT`` additionally times each
 benchmark with collection off and on, failing the suite when ambient
-metrics collection costs more than ``PCT`` percent of fastpath
-throughput — the zero-overhead contract of the obs hook, enforced.
+metrics collection costs more than ``PCT`` percent of the default
+path's throughput — the zero-overhead contract of the obs hook,
+enforced.
 """
 
 from __future__ import annotations
@@ -212,44 +212,32 @@ def run_suite(
 ) -> Dict[str, object]:
     """Execute the suite; returns the BENCH_sim.json document.
 
-    ``compare`` times each benchmark on the reference path, the fast
-    path and the VM path back-to-back; each wall is the min of
-    ``repeats`` passes.  ``metrics_gate`` (a percentage) times every
-    benchmark twice on the fast path — ambient metrics collection off,
-    then on — and marks the document as failed when total with-metrics
-    wall clock exceeds the plain wall clock by more than that
-    percentage.  All timings of one benchmark run back-to-back on the
+    ``compare`` times each benchmark on the reference path and the VM
+    path back-to-back; each wall is the min of ``repeats`` passes.
+    ``metrics_gate`` (a percentage) times every benchmark twice on the
+    default path — ambient metrics collection off, then on — and marks
+    the document as failed when total with-metrics wall clock exceeds
+    the plain wall clock by more than that percentage.  All timings of one benchmark run back-to-back on the
     same machine, so comparisons are robust to absolute machine speed.
     """
     selected = select_benchmarks(names)
     results: List[Dict[str, object]] = []
-    was_enabled = fastpath.enabled()
-    was_vm = fastpath.vm_enabled()
+    was_path = fastpath.path()
     plain_total = 0.0
     collected_total = 0.0
     try:
         for name in selected:
             entry: Dict[str, object]
             if compare:
-                fastpath.set_vm_enabled(False)
-                fastpath.set_enabled(False)
+                fastpath.set_path("reference")
                 before = _time_once(name, quick, repeats=repeats)
-                fastpath.set_enabled(True)
+                fastpath.set_path("vm")
                 entry = _time_once(name, quick, repeats=repeats)
-                fastpath.set_vm_enabled(True)
-                vm_entry = _time_once(name, quick, repeats=repeats)
-                fastpath.set_vm_enabled(False)
                 entry["baseline_wall_s"] = before["wall_s"]
                 entry["baseline_runs_per_s"] = before["runs_per_s"]
-                entry["vm_wall_s"] = vm_entry["wall_s"]
-                entry["vm_runs_per_s"] = vm_entry["runs_per_s"]
                 wall = float(entry["wall_s"])  # type: ignore[arg-type]
-                vm_wall = float(vm_entry["wall_s"])  # type: ignore[arg-type]
                 base = float(before["wall_s"])  # type: ignore[arg-type]
-                entry["speedup"] = round(base / wall, 2) if wall > 0 else None
-                entry["vm_speedup"] = (
-                    round(base / vm_wall, 2) if vm_wall > 0 else None
-                )
+                entry["vm_speedup"] = round(base / wall, 2) if wall > 0 else None
             elif metrics_gate is not None:
                 plain = _time_once(name, quick, collect=False, repeats=repeats)
                 entry = _time_once(name, quick, collect=True, repeats=repeats)
@@ -266,13 +254,12 @@ def run_suite(
             results.append(entry)
             print(_format_entry(entry), file=sys.stderr, flush=True)
     finally:
-        fastpath.set_enabled(was_enabled)
-        fastpath.set_vm_enabled(was_vm)
+        fastpath.set_path(was_path)
     doc: Dict[str, object] = {
         "schema": SCHEMA,
         "git_rev": _git_rev(),
         "date": time.strftime("%Y-%m-%d"),
-        "fastpath": was_enabled,
+        "fastpath": fastpath.enabled(),
         "quick": quick,
         "compare": compare,
         "repeats": max(1, repeats),
@@ -300,13 +287,11 @@ def _format_entry(entry: Dict[str, object]) -> str:
         f"[perf] {entry['name']}: {entry['wall_s']}s "
         f"({entry['runs']} runs, {entry['runs_per_s']} runs/s)"
     )
-    if "speedup" in entry:
+    if "vm_speedup" in entry:
         line += (
             f"  vs reference {entry['baseline_wall_s']}s "
-            f"-> fastpath {entry['speedup']}x"
+            f"-> vm {entry['vm_speedup']}x"
         )
-    if "vm_speedup" in entry:
-        line += f", vm {entry['vm_wall_s']}s -> {entry['vm_speedup']}x"
     return line
 
 
@@ -318,8 +303,6 @@ def history_entry(doc: Dict[str, object]) -> Dict[str, object]:
     speedups: Dict[str, object] = {}
     for bench in doc.get("benchmarks", ()):  # type: ignore[union-attr]
         cell: Dict[str, object] = {"wall_s": bench.get("wall_s")}
-        if bench.get("speedup") is not None:
-            cell["fastpath"] = bench["speedup"]
         if bench.get("vm_speedup") is not None:
             cell["vm"] = bench["vm_speedup"]
         speedups[bench["name"]] = cell
@@ -378,14 +361,10 @@ def format_trend(doc: Dict[str, object]) -> str:
             if not cell:
                 row.append("-")
                 continue
-            parts = []
-            if "fastpath" in cell:
-                parts.append(f"fast {cell['fastpath']}x")
             if "vm" in cell:
-                parts.append(f"vm {cell['vm']}x")
-            if not parts:
-                parts.append(f"{cell.get('wall_s')}s")
-            row.append(" ".join(parts))
+                row.append(f"vm {cell['vm']}x")
+            else:
+                row.append(f"{cell.get('wall_s')}s")
         rows.append(row)
     widths = [
         max(len(row[i]) for row in rows) for i in range(len(header))
@@ -413,14 +392,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--compare", action="store_true",
-        help="also time the reference (pre-fast-path) simulator and "
-             "record speedups",
+        help="also time the reference path (REPRO_SIM_PATH=reference) "
+             "and record the vm speedup over it",
     )
     parser.add_argument(
         "--metrics-gate", type=float, default=None, metavar="PCT",
         help="time each benchmark with ambient metrics collection off "
              "and on; exit 1 if collection costs more than PCT percent "
-             "of fastpath wall clock",
+             "of the default path's wall clock",
     )
     parser.add_argument(
         "--repeats", type=int, default=3, metavar="N",

@@ -21,8 +21,6 @@ from repro.core.run import (
     run_app,
     run_program,
 )
-from repro.hw.energy import Capacitor
-from repro.hw.harvester import HarvestSource, RFHarvester
 from repro.ir.transform import TransformOptions
 from repro.kernel.power import NoFailures, UniformFailureModel
 
@@ -67,8 +65,6 @@ def run_many(
     env_seed: int = 1,
     transform_options: Optional[TransformOptions] = None,
     consistency: Optional[Callable[[dict], bool]] = None,
-    harvest: Optional[HarvestSource] = None,
-    capacitor: Optional[Capacitor] = None,
     env=None,
     nontermination_limit: int = 2000,
 ) -> Aggregate:
@@ -79,27 +75,25 @@ def run_many(
     omitted, completion counts as correct.  ``env`` switches to
     energy-coupled failures from a :mod:`repro.env` environment — a
     spec string, an :class:`~repro.env.EnergyEnvironment`, or a
-    callable ``rep -> environment`` (Figure 13); ``harvest`` is the
-    legacy capacitor-driven path; otherwise the paper's uniform
-    soft-reset timer in ``[failure_low_ms, failure_high_ms]`` is used.
+    callable ``rep -> environment`` (Figure 13); otherwise the paper's
+    uniform soft-reset timer in ``[failure_low_ms, failure_high_ms]`` is
+    used.
     """
     build_kwargs = build_kwargs or {}
     # registered apps go through the compilation cache: one compile for
     # the whole cell instead of one per repetition
     registered = APPS.get(spec.name) is spec
 
-    def execute(failure_model, harvest_source, cap, trace_events=False):
+    def execute(failure_model):
         if registered:
             return run_app(
                 spec.name,
                 runtime=runtime,
                 failure_model=failure_model,
-                harvest=harvest_source,
                 seed=env_seed,
-                capacitor=cap,
                 build_kwargs=build_kwargs,
                 transform_options=transform_options,
-                trace_events=trace_events,
+                trace_events=False,
                 nontermination_limit=nontermination_limit,
                 # each result is fully aggregated before the next rep
                 reuse_machine=True,
@@ -108,16 +102,14 @@ def run_many(
             spec.build(**build_kwargs),
             runtime=runtime,
             failure_model=failure_model,
-            harvest=harvest_source,
             seed=env_seed,
-            capacitor=cap,
             transform_options=transform_options,
-            trace_events=trace_events,
+            trace_events=False,
             nontermination_limit=nontermination_limit,
         )
 
     if registered:
-        app_us = execute(NoFailures(), None, None).metrics.app_time_us
+        app_us = execute(NoFailures()).metrics.app_time_us
     else:
         app_us = continuous_useful_time(
             spec.build(**build_kwargs),
@@ -139,8 +131,6 @@ def run_many(
     for rep in range(reps):
         if env is not None:
             # energy-coupled mode: the environment IS the failure model
-            harvest_source = None
-            cap = None
             if callable(env):
                 failure_model = env(rep)
             elif isinstance(env, str):
@@ -150,26 +140,11 @@ def run_many(
             else:
                 env.reset()
                 failure_model = env
-        elif (
-            harvest_source := harvest(rep) if callable(harvest) else harvest
-        ) is not None:
-            failure_model = NoFailures()
-            template = capacitor if capacitor is not None else Capacitor()
-            # fresh buffer per run, starting at the turn-on threshold:
-            # the device has just woken, not banked a full charge
-            cap = Capacitor(
-                capacitance_f=template.capacitance_f,
-                v_max=template.v_max,
-                v_on=template.v_on,
-                v_off=template.v_off,
-                voltage=template.v_on,
-            )
         else:
             failure_model = UniformFailureModel(
                 low_ms=failure_low_ms, high_ms=failure_high_ms, seed=seed0 + rep
             )
-            cap = None
-        result = execute(failure_model, harvest_source, cap)
+        result = execute(failure_model)
         m = result.metrics
         totals["active"] += m.active_time_us
         totals["overhead"] += m.overhead_time_us
@@ -211,40 +186,4 @@ def run_many(
         completed=completed,
         memory=memory,
         text_proxy=text_proxy,
-    )
-
-
-class KneeRFHarvester(RFHarvester):
-    """RF harvester with a rectifier efficiency knee.
-
-    Powercast-class rectennas convert a smaller fraction of weak input
-    signals; modelling that as ``eff(p) = eff_max * p / (p + knee)``
-    steepens the harvested-power falloff with distance so the paper's
-    52-64 inch sweep spans the sustains-the-load -> duty-cycles
-    transition (Figure 13).
-    """
-
-    def __init__(self, distance_inch: float, knee_mw: float = 20.0, **kwargs) -> None:
-        super().__init__(distance_inch, **kwargs)
-        self.knee_mw = knee_mw
-
-    def mean_power_mw(self) -> float:
-        received = super().mean_power_mw() / self.efficiency
-        return received * self.efficiency * received / (received + self.knee_mw)
-
-
-def rf_distance_harvester(distance_inch: float, seed: int = 0) -> RFHarvester:
-    """The calibrated Figure 13 harvesting link.
-
-    Includes mild log-normal multipath fading: attempt-to-attempt
-    variation is what lets a marginal energy budget sometimes complete
-    and sometimes brown out, as on the real testbed.
-    """
-    import numpy as np
-
-    return KneeRFHarvester(
-        distance_inch,
-        fading_std_db=2.0,
-        fading_period_us=15_000.0,
-        rng=np.random.default_rng(seed),
     )

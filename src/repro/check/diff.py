@@ -185,7 +185,7 @@ def _stale_timely_checks(
     reading without re-sampling.  Under scripted/uniform timers the
     dark period is zero and ages stay bounded by boot costs, so the
     check is gated on an actual dark period (power failure → boot gap
-    > 0): it only fires in energy environments (or harvest mode) where
+    > 0): it only fires in energy environments, where
     an outage physically aged the datum — which is also what keeps
     every timer-only campaign verdict unchanged.
 

@@ -25,10 +25,12 @@ This module compiles **once per key** and shares the artifact:
     interpreter keeps all mutable state in the machine/environment), so
     one artifact may back any number of sequential or concurrent runs.
 
-Safety: the cache is only consulted while the global fast path
-(:mod:`repro.fastpath`) is enabled; disabling it (or calling
-:func:`clear_cache`) drops every artifact, restoring the historical
-compile-per-run behaviour exactly.
+Safety: the cache is only consulted on the VM path
+(:mod:`repro.fastpath`); the reference path (or :func:`clear_cache`)
+drops every artifact, restoring the historical compile-per-run
+behaviour exactly.  :func:`evict` drops one program's artifacts, for
+callers that compile many throwaway programs in one process (the
+fuzzer).
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def instantiate(compiled: CompiledProgram, machine: Machine):
         rt = cls.instantiate(compiled.transformed, machine)
     else:
         rt = cls.instantiate(compiled.program, machine)
-    if fastpath.vm_enabled():
+    if fastpath.enabled():
         _attach_vm(rt)
     return rt
 
@@ -213,8 +215,8 @@ def runtime_for(compiled: CompiledProgram, seed: int, trace_events: bool):
     key again resets the machine, so the previous ``RunResult`` must be
     fully consumed first (metrics and NV snapshots are copies, so
     holding those is fine; holding ``result.runtime`` live state is
-    not).  Only valid for machines built with default cost model and
-    capacitor; anything custom gets a fresh machine from the caller.
+    not).  Only valid for machines built with the default cost model;
+    anything custom gets a fresh machine from the caller.
     """
     global _vm_hits
     key = (id(compiled), seed, trace_events)
@@ -225,13 +227,9 @@ def runtime_for(compiled: CompiledProgram, seed: int, trace_events: bool):
         _runtimes[key] = rt
     else:
         rt.reset()
-        if fastpath.vm_enabled():
-            if getattr(rt, "_vm", None) is not None:
-                _vm_hits += 1
-                rt._vm_cached = True  # recycled bytecode, no recompile
-            else:
-                # pool entry predates the VM switch flip mid-process
-                _attach_vm(rt)
+        if getattr(rt, "_vm", None) is not None:
+            _vm_hits += 1
+            rt._vm_cached = True  # recycled bytecode, no recompile
     return rt
 
 
@@ -246,6 +244,24 @@ def cache_info() -> Dict[str, int]:
         "vm_hits": _vm_hits,
         "vm_misses": _vm_misses,
     }
+
+
+def evict(app: str, build_kwargs: Optional[Dict[str, object]] = None) -> None:
+    """Drop every cached artifact built from one ``(app, build_kwargs)``.
+
+    Removes the built program, its compiled artifacts for every runtime
+    and their pooled runtimes; other programs' entries (and counters)
+    are untouched, so a long-lived process can shed throwaway programs
+    without costing its other jobs their warm pools.
+    """
+    # daemon jobs share these dicts across threads: iterate snapshots
+    # (``list(d)`` copies atomically) and tolerate a concurrent evict
+    pkey = program_key(app, build_kwargs)
+    _programs.pop(pkey, None)
+    for key in [k for k in list(_compiled) if k[0] == pkey]:
+        cid = id(_compiled.pop(key, None))
+        for rkey in [k for k in list(_runtimes) if k[0] == cid]:
+            _runtimes.pop(rkey, None)
 
 
 def clear_cache() -> None:

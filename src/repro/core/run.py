@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence, Type
 
+from repro import fastpath
 from repro.errors import ReproError
-from repro.hw.energy import Capacitor
-from repro.hw.harvester import HarvestSource
 from repro.hw.mcu import CostModel, Machine, build_machine
 from repro.ir import ast as A
 from repro.ir.transform import TransformOptions
@@ -43,7 +42,6 @@ def build_runtime(
     machine: Optional[Machine] = None,
     seed: int = 0,
     cost: Optional[CostModel] = None,
-    capacitor: Optional[Capacitor] = None,
     transform_options: Optional[TransformOptions] = None,
     trace_events: bool = True,
 ) -> TaskRuntime:
@@ -53,16 +51,12 @@ def build_runtime(
             f"unknown runtime {runtime!r}; choose from {sorted(RUNTIMES)}"
         )
     if machine is None:
-        machine = build_machine(
-            seed=seed, cost=cost, capacitor=capacitor, trace_events=trace_events
-        )
+        machine = build_machine(seed=seed, cost=cost, trace_events=trace_events)
     if runtime == "easeio":
         rt = EaseIORuntime.from_source(program, machine, transform_options)
     else:
         rt = RUNTIMES[runtime](program, machine)
-    from repro import fastpath
-
-    if fastpath.vm_enabled():
+    if fastpath.enabled():
         from repro.core.compile import _attach_vm
 
         _attach_vm(rt)
@@ -73,10 +67,8 @@ def run_program(
     program: A.Program,
     runtime: str = "easeio",
     failure_model: Optional[FailureModel] = None,
-    harvest: Optional[HarvestSource] = None,
     seed: int = 0,
     cost: Optional[CostModel] = None,
-    capacitor: Optional[Capacitor] = None,
     transform_options: Optional[TransformOptions] = None,
     trace_events: bool = True,
     nontermination_limit: int = 2000,
@@ -98,14 +90,12 @@ def run_program(
         runtime,
         seed=seed,
         cost=cost,
-        capacitor=capacitor,
         transform_options=transform_options,
         trace_events=trace_events,
     )
     rt.machine.trace.recorder = recorder
     executor = IntermittentExecutor(
         failure_model=failure_model,
-        harvest=harvest,
         nontermination_limit=nontermination_limit,
         max_active_time_us=max_active_time_us,
         step_observer=step_observer,
@@ -119,10 +109,8 @@ def run_app(
     app: str,
     runtime: str = "easeio",
     failure_model: Optional[FailureModel] = None,
-    harvest: Optional[HarvestSource] = None,
     seed: int = 0,
     cost: Optional[CostModel] = None,
-    capacitor: Optional[Capacitor] = None,
     build_kwargs: Optional[Dict[str, object]] = None,
     transform_options: Optional[TransformOptions] = None,
     trace_events: bool = True,
@@ -147,11 +135,9 @@ def run_app(
     one pooled machine via ``TaskRuntime.reset()`` instead of building
     a new one.  Callers must consume each ``RunResult`` (including any
     NV snapshots — they are copies) before the next call, and only the
-    default machine configuration is pooled; a custom ``cost``,
-    ``capacitor`` or ``harvest`` always gets a fresh machine.  Ignored
-    while the fast path is disabled.
+    default machine configuration is pooled; a custom ``cost`` always
+    gets a fresh machine.  Ignored on the reference path.
     """
-    from repro import fastpath
     from repro.core.compile import compile_app, instantiate, runtime_for
 
     compiled = compile_app(
@@ -160,25 +146,16 @@ def run_app(
         build_kwargs=build_kwargs,
         transform_options=transform_options,
     )
-    if (
-        reuse_machine
-        and fastpath.enabled()
-        and cost is None
-        and capacitor is None
-        and harvest is None
-    ):
+    if reuse_machine and fastpath.enabled() and cost is None:
         rt = runtime_for(compiled, seed, trace_events)
     else:
-        machine = build_machine(
-            seed=seed, cost=cost, capacitor=capacitor, trace_events=trace_events
-        )
+        machine = build_machine(seed=seed, cost=cost, trace_events=trace_events)
         rt = instantiate(compiled, machine)
     # unconditionally (re)assigned: pooled machines keep their trace
     # across recycles, so a stale recorder must not leak into this run
     rt.machine.trace.recorder = recorder
     executor = IntermittentExecutor(
         failure_model=failure_model,
-        harvest=harvest,
         nontermination_limit=nontermination_limit,
         max_active_time_us=max_active_time_us,
         step_observer=step_observer,

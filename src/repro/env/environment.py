@@ -10,10 +10,9 @@ path in :mod:`repro.kernel.executor`) drives it through three hooks:
 ``fail_time(start, duration, draw)``
     a *pure* query: given a step window at constant ``draw`` mW, the
     absolute instant the capacitor would cross the off-threshold, or
-    ``inf``.  Computed segment-wise against the source signal in the
-    same closed-form arithmetic the harvest mode uses
-    (``t + usable / (net · 1e-3)``), so failure schedules are exact and
-    identical on every execution path.
+    ``inf``.  Computed segment-wise against the source signal in closed
+    form (``t + usable / (net · 1e-3)``), so failure schedules are
+    exact and identical on every execution path.
 
 ``commit_window(start, duration, draw)``
     the matching state update once the executor decided how much of

@@ -20,10 +20,10 @@ sequentially* from a dedicated seeded RNG: segment ``k`` is always the
   function of absolute time), so one source instance can serve many
   runs of a campaign without re-seeding drift.
 
-Contrast with :class:`repro.hw.harvester.RFHarvester`, whose fading
-segments start at whatever time the *query* arrived — history-dependent
-and therefore not replayable.  :class:`RFSource` reuses the same Friis
-physics on a fixed absolute-time fading grid instead.
+This is why :class:`RFSource` draws its multipath fading on a fixed
+absolute-time grid rather than from whenever a query happens to
+arrive: a query-timed fade would make the signal depend on the
+workload's history, and a recorded run would no longer replay.
 """
 
 from __future__ import annotations
@@ -282,12 +282,18 @@ class MarkovSource(_SegmentedSource):
 class RFSource(_SegmentedSource):
     """The Figure-13 RF link as a replayable source.
 
-    Same physics as :class:`repro.bench.runner.KneeRFHarvester` — Friis
-    free-space path loss into a rectifier with an efficiency knee — but
-    log-normal multipath fading is drawn on a *fixed* absolute-time
-    grid (segment ``k`` covers ``[k·period, (k+1)·period)``), so the
-    signal is a pure function of ``(distance, seed)`` and records
-    replay exactly.
+    The paper's testbed powers the board from a Powercast TX91501-3W
+    transmitter at 915 MHz through a P2110-EVB receiver at 52–64 in.
+    Received power follows Friis free-space path loss,
+    ``P_r = P_t · G_t · G_r · (λ / 4πd)²``, and the rectifier converts
+    ``efficiency · P_r / (P_r + knee_mw)`` of it: Powercast-class
+    rectennas convert a smaller fraction of weak signals, which
+    steepens the falloff so the 52–64 in sweep spans the
+    sustains-the-load → duty-cycles transition.  ``knee_mw=0`` is the
+    plain Friis budget.  Log-normal multipath fading is drawn on a
+    *fixed* absolute-time grid (segment ``k`` covers
+    ``[k·period, (k+1)·period)``), so the signal is a pure function of
+    ``(distance, seed)`` and records replay exactly.
     """
 
     def __init__(

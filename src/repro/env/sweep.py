@@ -96,8 +96,10 @@ def sweep_unit_key(cfg: SweepConfig, payload: Tuple[str, str, str]) -> str:
     Keys on the environment's *content descriptor* — two sweeps naming
     the same physical environment share cache entries, and two
     different environments can never collide.  The execution path
-    (fastpath / VM) is deliberately absent: path equivalence is pinned
-    by the test suite, so verdicts are path-independent by contract.
+    (``vm`` or ``reference``) enters only through the flag that
+    :func:`~repro.serve.store.unit_key` folds into every key, so the
+    two paths keep separate entries even though their verdicts are
+    identical by contract (the equivalence matrices pin that).
     """
     spec, app, runtime = payload
     return unit_key(

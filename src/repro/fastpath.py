@@ -1,25 +1,26 @@
-"""Global switch for the simulation fast path.
+"""The simulator's execution-path switch.
 
-The simulator has two execution paths through the same public API:
+Two execution paths run the same public API:
 
-* the **fast path** (default): memoized compilation
-  (:mod:`repro.core.compile`), zero-copy typed memory cells
-  (:mod:`repro.hw.memory`), and per-program interpreter plans
-  (:mod:`repro.runtimes.base`);
-* the **reference path**: every run rebuilds everything from scratch
-  and every memory access goes through the raw byte read/write
-  round-trip, exactly as the simulator behaved before the fast path
-  existed.
+* ``vm`` (default): memoized compilation (:mod:`repro.core.compile`)
+  with a pool of recycled machines, zero-copy typed memory views
+  (:mod:`repro.hw.memory`), and each runtime's program lowered to
+  stepped bytecode (:mod:`repro.vm`);
+* ``reference``: every run rebuilds everything from scratch, every
+  memory access goes through the raw byte read/write round-trip, and
+  the runtime's plain step-generator interpreter
+  (:mod:`repro.runtimes.base`) executes the program.
 
 Both paths must be observationally identical — same metrics, same
-traces, same NV state.  The reference path exists so the perf harness
-(:mod:`repro.bench.perf`) can measure the speedup honestly on the same
-machine, and so a correctness doubt about the caches can always be
-settled by re-running with ``REPRO_SIM_FASTPATH=0``.
+traces, same NV state.  The reference path is the oracle of every
+equivalence matrix and the baseline the perf harness
+(:mod:`repro.bench.perf`) measures speedups against; a correctness
+doubt about the VM can always be settled by re-running with
+``REPRO_SIM_PATH=reference``.
 
 The switch is process-global and read at cache/cell construction time;
-flipping it clears every registered cache so stale fast-path artifacts
-cannot leak into reference-path runs (or vice versa).
+flipping it clears every registered cache so artifacts of one path
+cannot leak into runs of the other.
 """
 
 from __future__ import annotations
@@ -27,49 +28,46 @@ from __future__ import annotations
 import os
 from typing import Callable, List
 
-_enabled: bool = os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"
+from repro.errors import ReproError
+
+#: the values ``REPRO_SIM_PATH`` accepts; the first is the default
+PATHS = ("vm", "reference")
+
+
+def _checked(name: str) -> str:
+    if name not in PATHS:
+        raise ReproError(
+            f"REPRO_SIM_PATH must be 'vm' or 'reference', got {name!r}"
+        )
+    return name
+
+
+_path: str = _checked(os.environ.get("REPRO_SIM_PATH", PATHS[0]))
 
 #: callbacks that drop memoized state when the switch flips
 _cache_clearers: List[Callable[[], None]] = []
 
 
+def path() -> str:
+    """The active execution path: ``"vm"`` or ``"reference"``."""
+    return _path
+
+
+def set_path(name: str) -> None:
+    """Select an execution path, clearing all registered caches."""
+    global _path
+    _path = _checked(name)
+    clear_caches()
+
+
 def enabled() -> bool:
-    """Whether the fast path is currently active."""
-    return _enabled
+    """Whether the accelerated (VM) path is active."""
+    return _path == "vm"
 
 
-def set_enabled(flag: bool) -> None:
-    """Enable/disable the fast path, clearing all registered caches."""
-    global _enabled
-    _enabled = bool(flag)
-    clear_caches()
-
-
-# -- the VM path (third execution path, PR 7) -------------------------------
-#
-# ``REPRO_SIM_VM=1`` compiles each runtime's program into the stepped
-# bytecode VM (:mod:`repro.vm`) and drives it from the executor's VM
-# loop.  Off by default; the reference and fast paths stay available as
-# oracles, and the same observational-equivalence contract applies to
-# all three.
-
-_vm_enabled: bool = os.environ.get("REPRO_SIM_VM", "0") == "1"
-
-
-def vm_enabled() -> bool:
-    """Whether the bytecode-VM execution path is currently active."""
-    return _vm_enabled
-
-
-def set_vm_enabled(flag: bool) -> None:
-    """Enable/disable the VM path, clearing all registered caches.
-
-    Cached runtimes carry (or lack) compiled bytecode; flipping the
-    switch invalidates them the same way flipping the fast path does.
-    """
-    global _vm_enabled
-    _vm_enabled = bool(flag)
-    clear_caches()
+#: the same predicate as :func:`enabled` (the accelerated path is the
+#: VM), for callers outside the package that ask for the VM by name
+vm_enabled = enabled
 
 
 def register_cache_clearer(fn: Callable[[], None]) -> None:

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import fastpath
 from repro.check import CampaignConfig, run_campaign
 from repro.check.model import VIOLATION_KINDS
+from repro.core.compile import evict
 from repro.env.spec import describe_env, random_env_spec
 from repro.errors import CampaignInterrupted
 from repro.fuzz.gen import generate_valid_spec
@@ -229,6 +230,18 @@ def resolve_fuzz_env(cfg: FuzzConfig, index: int) -> Optional[str]:
     return spec
 
 
+def _evict(spec_json: str) -> None:
+    """Drop a checked program's compile-cache entries.
+
+    Generated programs and shrink candidates are checked and then never
+    run again; left cached, each one pins its program, compiled
+    artifacts and pooled runtimes (with their bytecode) for the life of
+    the process.  Only this spec's keys go: a ``check`` job sharing the
+    process keeps its warm pools.
+    """
+    evict("fuzz", {"spec": spec_json})
+
+
 def _semantic_divergence(
     report_ok: bool, by_kind: Dict[str, int], env: Optional[str]
 ) -> bool:
@@ -255,13 +268,18 @@ def check_spec(
     """Differential verdicts of one spec on every configured runtime."""
     spec_json = spec_to_json(spec)
     out: Dict[str, Dict] = {}
-    for runtime in cfg.runtimes:
-        report = _campaign(spec_json, runtime, cfg.limit, cfg.env_seed, env=env)
-        out[runtime] = {
-            "ok": not _semantic_divergence(report.ok, report.by_kind, env),
-            "by_kind": dict(report.by_kind),
-            "n_runs": report.n_runs,
-        }
+    try:
+        for runtime in cfg.runtimes:
+            report = _campaign(
+                spec_json, runtime, cfg.limit, cfg.env_seed, env=env
+            )
+            out[runtime] = {
+                "ok": not _semantic_divergence(report.ok, report.by_kind, env),
+                "by_kind": dict(report.by_kind),
+                "n_runs": report.n_runs,
+            }
+    finally:
+        _evict(spec_json)
     return out
 
 
@@ -365,13 +383,15 @@ def _kind_reproduces(
 ) -> bool:
     if telemetry is not None:
         telemetry.note_shrink_eval()
+    spec_json = spec_to_json(spec)
     try:
         report = _campaign(
-            spec_to_json(spec), runtime, cfg.shrink_limit, cfg.env_seed,
-            env=env,
+            spec_json, runtime, cfg.shrink_limit, cfg.env_seed, env=env,
         )
     except Exception:
         return False
+    finally:
+        _evict(spec_json)
     return kind in report.by_kind
 
 
@@ -395,9 +415,9 @@ def _build_reproducer(
         )
     # final verdicts on the minimized program: the recorded kind with
     # its ddmin-minimal schedule, and the EaseIO cross-check
+    spec_json = spec_to_json(spec)
     final = _campaign(
-        spec_to_json(spec), runtime, cfg.limit, cfg.env_seed, shrink=True,
-        env=env,
+        spec_json, runtime, cfg.limit, cfg.env_seed, shrink=True, env=env,
     )
     limit = cfg.limit
     if kind not in final.by_kind and cfg.shrink_limit != cfg.limit:
@@ -407,12 +427,10 @@ def _build_reproducer(
         # the corpus replay checks the spec at a limit that works
         limit = cfg.shrink_limit
         final = _campaign(
-            spec_to_json(spec), runtime, limit, cfg.env_seed, shrink=True,
-            env=env,
+            spec_json, runtime, limit, cfg.env_seed, shrink=True, env=env,
         )
-    easeio = _campaign(
-        spec_to_json(spec), "easeio", limit, cfg.env_seed, env=env
-    )
+    easeio = _campaign(spec_json, "easeio", limit, cfg.env_seed, env=env)
+    _evict(spec_json)
     easeio_clean = not _semantic_divergence(easeio.ok, easeio.by_kind, env)
     minimal_schedule = final.minimal.get(kind)
     return {

@@ -9,13 +9,11 @@ Sub-modules:
 - :mod:`repro.hw.peripherals` — sensors, radio, camera models
 - :mod:`repro.hw.timekeeper` — persistent time across power failures
 - :mod:`repro.hw.energy` — capacitor buffer and energy metering
-- :mod:`repro.hw.harvester` — RF/constant harvesting sources
 - :mod:`repro.hw.trace` — execution event log
 """
 
 from repro.hw.dma import DMAEngine, TransferClass, TransferReport
 from repro.hw.energy import Capacitor, EnergyMeter
-from repro.hw.harvester import ConstantSupply, HarvestSource, RFHarvester
 from repro.hw.lea import LEA, LeaReport
 from repro.hw.memory import (
     AddressSpace,
@@ -47,14 +45,12 @@ __all__ = [
     "Capacitor",
     "Cell",
     "Clock",
-    "ConstantSupply",
     "CostModel",
     "DMAEngine",
     "DelayOp",
     "EnergyMeter",
     "EnvironmentSensor",
     "Event",
-    "HarvestSource",
     "IOResult",
     "LEA",
     "LeaReport",
@@ -63,7 +59,6 @@ __all__ = [
     "Peripheral",
     "PeripheralSet",
     "PersistentTimekeeper",
-    "RFHarvester",
     "Radio",
     "RegionAllocator",
     "Symbol",

@@ -125,31 +125,6 @@ class Capacitor:
         total = min(total, self._energy_at(self.v_max))
         self.voltage = math.sqrt(2.0 * total * 1e-6 / self.capacitance_f)
 
-    def time_to_reach_us(self, target_v: float, power_mw: float) -> float:
-        """Charging time (us) from the current voltage to ``target_v``.
-
-        Returns ``inf`` when ``power_mw`` is zero (no harvest, device
-        stays dark forever — matching a harvester out of range).
-        """
-        if target_v <= self.voltage:
-            return 0.0
-        if power_mw <= 0:
-            return math.inf
-        deficit_uj = self._energy_at(target_v) - self.stored_uj
-        return deficit_uj / (power_mw * 1e-3)
-
-    def recharge_to_on(self, power_mw: float) -> float:
-        """Model the dark period after a brown-out.
-
-        Charges the capacitor to the turn-on threshold and returns how
-        long that took (us).
-        """
-        dark_us = self.time_to_reach_us(self.v_on, power_mw)
-        if math.isinf(dark_us):
-            return dark_us
-        self.voltage = max(self.voltage, self.v_on)
-        return dark_us
-
     def reset_full(self) -> None:
         """Return the capacitor to a full charge (start of an experiment)."""
         self.voltage = self.v_max

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.hw.dma import DMAEngine
-from repro.hw.energy import Capacitor, EnergyMeter
+from repro.hw.energy import EnergyMeter
 from repro.hw.lea import LEA
 from repro.hw.memory import (
     AddressSpace,
@@ -121,7 +121,6 @@ class Machine:
         cost: CostModel,
         peripherals: PeripheralSet,
         timekeeper: PersistentTimekeeper,
-        capacitor: Optional[Capacitor] = None,
         trace: Optional[Trace] = None,
     ) -> None:
         self.space = space
@@ -131,7 +130,6 @@ class Machine:
         self.trace = trace if trace is not None else Trace()
         self.peripherals = peripherals
         self.timekeeper = timekeeper
-        self.capacitor = capacitor if capacitor is not None else Capacitor()
         self.dma = DMAEngine(
             space, setup_us=cost.dma_setup_us, per_word_us=cost.dma_per_word_us
         )
@@ -168,7 +166,6 @@ class Machine:
         self.trace.clear()
         self.peripherals.reset()
         self.timekeeper.reset()
-        self.capacitor.reset_full()
         self.dma.transfer_count = 0
         self.dma.bytes_moved = 0
         self.lea.invocations = 0
@@ -185,7 +182,6 @@ class Machine:
 def build_machine(
     seed: int = 0,
     cost: Optional[CostModel] = None,
-    capacitor: Optional[Capacitor] = None,
     trace_events: bool = True,
 ) -> Machine:
     """Assemble the default evaluation board.
@@ -206,6 +202,5 @@ def build_machine(
         cost=cost,
         peripherals=peripherals,
         timekeeper=timekeeper,
-        capacitor=capacitor,
         trace=Trace(enabled=trace_events),
     )

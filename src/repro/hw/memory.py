@@ -324,7 +324,7 @@ class Cell:
     Reads/writes go straight through the backing region, so the value
     is subject to the region's power-failure behaviour.
 
-    On the fast path the cell resolves its region **once** at
+    On the VM path the cell resolves its region **once** at
     construction and keeps a typed ndarray view aliasing the backing
     store — every ``get``/``set`` is then a single element access with
     no region scan and no bytes round-trip.  The view stays valid for
@@ -379,7 +379,7 @@ class Cell:
 class ArrayCell:
     """Typed array access to an allocated slot.
 
-    Fast-path construction caches a typed region-local view (see
+    VM-path construction caches a typed region-local view (see
     :class:`Cell`); element access stays bounds-checked.
     """
 
@@ -499,7 +499,7 @@ class RegionAllocator:
     region_name: str
     _cursor: int = field(default=-1)
     symbols: Dict[str, Symbol] = field(default_factory=dict)
-    #: fast-path memoization: one typed cell object per symbol, so the
+    #: VM-path memoization: one typed cell object per symbol, so the
     #: per-access cost is a dict hit instead of a Cell construction
     _cells: Dict[str, "Cell"] = field(default_factory=dict, repr=False)
     _arrays: Dict[str, "ArrayCell"] = field(default_factory=dict, repr=False)

@@ -2,26 +2,27 @@
 
 The executor owns the passage of time and energy.  A runtime exposes a
 step generator (:meth:`~repro.runtimes.base.TaskRuntime.start`); each
-yielded :class:`~repro.kernel.stats.Step` is charged against the clock,
-the energy meter and (in harvesting mode) the capacitor *before* its
-effects are applied — the interpreter applies a step's effects only
-when the executor asks for the next step, so a power failure inside a
-step window makes the step vanish entirely (all-or-nothing, like an
-instruction that never retired).
+yielded :class:`~repro.kernel.stats.Step` is charged against the clock
+and the energy meter *before* its effects are applied — the interpreter
+applies a step's effects only when the executor asks for the next step,
+so a power failure inside a step window makes the step vanish entirely
+(all-or-nothing, like an instruction that never retired).  Runtimes
+carrying compiled bytecode (:mod:`repro.vm`) are driven by
+:meth:`IntermittentExecutor._run_vm` instead, with the same charging
+rules.
 
 Two failure sources can interrupt a step:
 
 * the *timer* (:class:`~repro.kernel.power.FailureModel`) — the paper's
   emulated soft resets; the device reboots immediately;
-* *energy exhaustion* — in harvesting mode the capacitor drains at the
-  step's net power; when it hits the off threshold the device browns
-  out and stays dark until the harvester recharges it to the on
-  threshold.  An :class:`~repro.env.environment.EnergyEnvironment`
-  failure model (``energy_coupled = True``) generalizes this: the
-  executor asks it for the brown-out instant inside each step window
-  (``fail_time``), commits the survived portion (``commit_window``)
-  and lets it integrate the hysteresis dark period on reboot
-  (``on_failure``) — identically on the generator and VM paths.
+* *energy exhaustion* — an
+  :class:`~repro.env.environment.EnergyEnvironment` failure model
+  (``energy_coupled = True``) meters a capacitor against a harvest
+  source: the executor asks it for the brown-out instant inside each
+  step window (``fail_time``), commits the survived portion
+  (``commit_window``) and lets it integrate the hysteresis dark period
+  on reboot (``on_failure``) — identically on the generator and VM
+  paths.
 
 On every failure the executor clears volatile memory, charges the boot
 cost, notifies the persistent timekeeper of the dark period, and
@@ -38,7 +39,6 @@ from typing import Callable, Dict, Iterator, Optional
 
 from repro.errors import NonTermination, ReproError
 from repro.hw import trace as T
-from repro.hw.harvester import HarvestSource
 from repro.hw.mcu import Machine
 from repro.kernel.power import FailureModel, NoFailures
 from repro.kernel.stats import BOOT, Metrics, RunStats, Step
@@ -52,7 +52,7 @@ class RunResult:
     metrics: Metrics
     stats: RunStats
     completed: bool
-    died_dark: bool = False  # harvesting mode: charge never recovered
+    died_dark: bool = False  # energy environment: charge never recovered
 
 
 class IntermittentExecutor:
@@ -62,12 +62,8 @@ class IntermittentExecutor:
     ----------
     failure_model:
         timer-driven reset schedule (use :class:`NoFailures` for
-        continuous power or pure-harvesting runs).
-    harvest:
-        when given, enables capacitor accounting: steps drain the
-        capacitor, failures brown the device out, and reboots wait for
-        recharge.  When omitted the supply is ideal (the paper's
-        emulated-energy mode).
+        continuous power), or an energy environment whose capacitor
+        decides when the device browns out.
     max_active_time_us:
         safety valve against runaway experiments.
     nontermination_limit:
@@ -84,13 +80,11 @@ class IntermittentExecutor:
     def __init__(
         self,
         failure_model: Optional[FailureModel] = None,
-        harvest: Optional[HarvestSource] = None,
         max_active_time_us: float = 600_000_000.0,
         nontermination_limit: int = 2000,
         step_observer: Optional[Callable[[float, Step], None]] = None,
     ) -> None:
         self.failure_model = failure_model or NoFailures()
-        self.harvest = harvest
         self.max_active_time_us = max_active_time_us
         self.nontermination_limit = nontermination_limit
         self.step_observer = step_observer
@@ -121,17 +115,8 @@ class IntermittentExecutor:
             if getattr(self.failure_model, "energy_coupled", False)
             else None
         )
-        if env is not None and self.harvest is not None:
-            raise ReproError(
-                "an energy environment meters its own capacitor; "
-                "combining it with harvest mode double-counts energy"
-            )
         vm = getattr(runtime, "_vm", None)
-        if vm is not None and self.harvest is None:
-            # third execution path: the compiled bytecode VM.  Legacy
-            # harvest mode stays on the generator path (not worth
-            # specializing); energy environments run on the VM — their
-            # fail_time/commit_window hooks are path-agnostic.
+        if vm is not None:
             return self._run_vm(runtime, vm)
         machine: Machine = runtime.machine
         stats = RunStats()
@@ -159,17 +144,16 @@ class IntermittentExecutor:
         clock_advance = machine.clock.advance
         meter_add_power = machine.meter.add_power
         stats_charge = stats.charge
-        harvest = self.harvest
         # observability hook: None in the common case, so each charged
-        # step pays exactly one ``is not None`` test (the fastpath's
+        # step pays exactly one ``is not None`` test (the obs hook's
         # zero-overhead contract — see DESIGN.md)
         recorder = machine.trace.recorder
 
         def charge_window(step: Step) -> bool:
             """Charge a step; returns False when a failure truncated it.
 
-            Advances the clock, meters energy, and (in harvesting mode)
-            charges/discharges the capacitor.
+            Advances the clock, meters energy, and (in an energy
+            environment) charges/discharges its capacitor.
             """
             nonlocal next_reset
             draw_mw = power_get(step.category, cpu_mw)
@@ -182,13 +166,6 @@ class IntermittentExecutor:
                 efail = env.fail_time(start, step.duration_us, draw_mw)
                 if efail < fail_at:
                     fail_at = efail
-            elif harvest is not None:
-                harvest_mw = harvest.power_mw(start)
-                net_mw = draw_mw - harvest_mw
-                if net_mw > 0:
-                    usable = machine.capacitor.usable_uj
-                    exhaust_at = start + usable / (net_mw * 1e-3)
-                    fail_at = min(fail_at, exhaust_at)
 
             if fail_at < end:
                 executed = max(0.0, fail_at - start)
@@ -198,13 +175,6 @@ class IntermittentExecutor:
                     env.commit_window(start, executed, draw_mw)
                     if efail < next_reset:
                         env.brownout()
-                elif harvest is not None:
-                    machine.capacitor.charge(
-                        harvest.power_mw(start), executed
-                    )
-                    machine.capacitor.discharge(
-                        draw_mw * executed * 1e-3
-                    )
                 stats_charge(step, executed_us=executed)
                 if recorder is not None:
                     recorder.on_step(step, executed, draw_mw * executed * 1e-3)
@@ -214,13 +184,6 @@ class IntermittentExecutor:
             meter_add_power(step.category, draw_mw, step.duration_us)
             if env is not None:
                 env.commit_window(start, step.duration_us, draw_mw)
-            elif harvest is not None:
-                machine.capacitor.charge(
-                    harvest.power_mw(start), step.duration_us
-                )
-                machine.capacitor.discharge(
-                    draw_mw * step.duration_us * 1e-3
-                )
             stats_charge(step)
             if recorder is not None:
                 recorder.on_step(
@@ -237,9 +200,6 @@ class IntermittentExecutor:
                 dark_us = 0.0
                 if env is not None:
                     dark_us = env.on_failure(machine.now_us)
-                elif self.harvest is not None:
-                    harvest_mw = self.harvest.power_mw(machine.now_us)
-                    dark_us = machine.capacitor.recharge_to_on(harvest_mw)
                 if math.isinf(dark_us):
                     dead = True
                     return False
@@ -262,11 +222,7 @@ class IntermittentExecutor:
             if dead:
                 died_dark = True
                 break
-            if (
-                self.harvest is None
-                and env is None
-                and math.isinf(next_reset)
-            ):
+            if env is None and math.isinf(next_reset):
                 raise ReproError("initial boot failed with no failure model")
             stats.power_failures += 1
             emit_failure("boot")

@@ -10,17 +10,14 @@ The paper evaluates under two regimes:
 
 * **Real harvesting** (section 5.5 / Figure 13): the device browns out
   when its capacitor is exhausted and stays dark until the harvester
-  recharges it.  That regime is driven by the executor's capacitor
-  accounting; the timer model is set to :class:`NoFailures`.
+  recharges it.  That regime lives in :mod:`repro.env`:
+  :class:`~repro.env.environment.EnergyEnvironment` is a failure model
+  with ``energy_coupled = True`` — the executor recognizes the flag and
+  derives failure instants from the workload's own energy draw against
+  a harvest source, instead of (or composed with) a timer.
 
 :class:`ScriptedFailures` exists for tests that need a failure at an
 exact instant.
-
-A third regime lives in :mod:`repro.env`:
-:class:`~repro.env.environment.EnergyEnvironment` is a failure model
-with ``energy_coupled = True`` — the executor recognizes the flag and
-derives failure instants from the workload's own energy draw against a
-harvest source, instead of (or composed with) a timer.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 campaign report cannot: is campaign throughput holding across git
 revs?  Is the warm-cache hit rate where it should be?  Did a
 divergence class that used to be clean become nonzero?  Are the
-fastpath/VM speedups in ``BENCH_sim.json`` drifting down?
+VM speedups in ``BENCH_sim.json`` drifting down?
 
 Two inputs, both optional and both read-only:
 
@@ -206,30 +206,24 @@ def render_bench_trend(doc: Optional[Dict[str, object]]) -> str:
         ]
         for name in names:
             cell = point.get("speedups", {}).get(name) or {}
-            parts = []
-            if "fastpath" in cell:
-                parts.append(f"fast {cell['fastpath']}x")
             if "vm" in cell:
-                parts.append(f"vm {cell['vm']}x")
-            if not parts:
-                parts.append(f"{cell.get('wall_s', '-')}s")
-            row.append(" ".join(parts))
+                row.append(f"vm {cell['vm']}x")
+            else:
+                row.append(f"{cell.get('wall_s', '-')}s")
         rows.append(row)
     lines = [_table(rows)]
     if len(history) > 1:
         for name in names:
-            for metric, key in (("fast", "fastpath"), ("vm", "vm")):
-                vals = [
-                    float(p.get("speedups", {}).get(name, {}).get(key))
-                    for p in history
-                    if p.get("speedups", {}).get(name, {}).get(key)
-                    is not None
-                ]
-                if len(vals) > 1:
-                    lines.append(
-                        f"{name} {metric} {sparkline(vals)} "
-                        f"({vals[0]}x -> {vals[-1]}x)"
-                    )
+            vals = [
+                float(p.get("speedups", {}).get(name, {}).get("vm"))
+                for p in history
+                if p.get("speedups", {}).get(name, {}).get("vm") is not None
+            ]
+            if len(vals) > 1:
+                lines.append(
+                    f"{name} vm {sparkline(vals)} "
+                    f"({vals[0]}x -> {vals[-1]}x)"
+                )
     return "\n".join(lines)
 
 
@@ -318,25 +312,23 @@ def gate_problems(
             if h.get("quick") == latest_h.get("quick")
         ]
         for name, cell in (latest_h.get("speedups") or {}).items():
-            for metric, key in (("fastpath", "fastpath"), ("vm", "vm")):
-                value = cell.get(key)
-                if value is None:
-                    continue
-                baselines = [
-                    float(h.get("speedups", {}).get(name, {}).get(key))
-                    for h in prior_h
-                    if h.get("speedups", {}).get(name, {}).get(key)
-                    is not None
-                ]
-                if not baselines:
-                    continue
-                best = max(baselines)
-                drop = _pct_drop(float(value), best)
-                if drop > max_drop_pct:
-                    problems.append(
-                        f"perf regression: {name} {metric} speedup "
-                        f"{value}x at rev {latest_h.get('rev')}, "
-                        f"{drop:.1f}% below the best prior {best}x "
-                        f"(gate {max_drop_pct}%)"
-                    )
+            value = cell.get("vm")
+            if value is None:
+                continue
+            baselines = [
+                float(h.get("speedups", {}).get(name, {}).get("vm"))
+                for h in prior_h
+                if h.get("speedups", {}).get(name, {}).get("vm") is not None
+            ]
+            if not baselines:
+                continue
+            best = max(baselines)
+            drop = _pct_drop(float(value), best)
+            if drop > max_drop_pct:
+                problems.append(
+                    f"perf regression: {name} vm speedup "
+                    f"{value}x at rev {latest_h.get('rev')}, "
+                    f"{drop:.1f}% below the best prior {best}x "
+                    f"(gate {max_drop_pct}%)"
+                )
     return problems

@@ -33,7 +33,6 @@ Subclass hooks: ``_task_prologue`` (per-attempt entry work),
 
 from __future__ import annotations
 
-import operator
 from typing import (
     Callable,
     Dict,
@@ -48,7 +47,6 @@ from typing import (
 
 import numpy as np
 
-from repro import fastpath
 from repro.errors import ProgramError, ReproError
 from repro.hw import trace as T
 from repro.hw.mcu import Machine
@@ -86,12 +84,6 @@ class Environment:
             A.LOCAL: machine.sram,
             A.LEARAM: machine.learam,
         }
-        #: fast path only: resolved-name -> typed cell caches
-        self._fast = fastpath.enabled()
-        self._scalar_cells: Dict[str, object] = {}
-        self._array_cells: Dict[str, object] = {}
-        self._addr_cache: Dict[str, tuple] = {}
-        self._copy_cache: Dict[tuple, tuple] = {}
         #: decl name -> (cell, ready-to-store value); initializers are
         #: re-applied on every reset/boot, and converting the literal
         #: tuple to an ndarray each time dominates recycled-run resets
@@ -161,33 +153,8 @@ class Environment:
             return self.redirects.get(name, name)
         return name
 
-    def _scalar_cell(self, actual: str, name: str):
-        """Memoized typed scalar cell for ``actual`` (fast path only)."""
-        cell = self._scalar_cells.get(actual)
-        if cell is None:
-            allocator = self._allocators[self.storage_of(actual)]
-            sym = allocator.lookup(actual)
-            if sym.length > 1:
-                raise ProgramError(f"array {name!r} read without an index")
-            cell = allocator.cell(actual)
-            self._scalar_cells[actual] = cell
-        return cell
-
-    def _array_cell(self, actual: str):
-        """Memoized typed array cell for ``actual`` (fast path only)."""
-        arr = self._array_cells.get(actual)
-        if arr is None:
-            allocator = self._allocators[self.storage_of(actual)]
-            arr = allocator.array(actual)
-            self._array_cells[actual] = arr
-        return arr
-
     def read(self, name: str, index: Optional[int] = None, follow_redirect: bool = True):
         actual = self.redirects.get(name, name) if follow_redirect else name
-        if self._fast:
-            if index is None:
-                return self._scalar_cell(actual, name).get()
-            return self._array_cell(actual).get(int(index))
         allocator = self._allocator(self.storage_of(actual))
         if index is None:
             sym = allocator.lookup(actual)
@@ -204,22 +171,6 @@ class Environment:
         follow_redirect: bool = True,
     ) -> None:
         actual = self.redirects.get(name, name) if follow_redirect else name
-        if self._fast:
-            if index is None:
-                cell = self._scalar_cells.get(actual)
-                if cell is None:
-                    allocator = self._allocators[self.storage_of(actual)]
-                    sym = allocator.lookup(actual)
-                    if sym.length > 1:
-                        raise ProgramError(
-                            f"array {name!r} written without an index"
-                        )
-                    cell = allocator.cell(actual)
-                    self._scalar_cells[actual] = cell
-                cell.set(value)
-            else:
-                self._array_cell(actual).set(int(index), value)
-            return
         allocator = self._allocator(self.storage_of(actual))
         if index is None:
             sym = allocator.lookup(actual)
@@ -231,8 +182,6 @@ class Environment:
 
     def array(self, name: str, follow_redirect: bool = True):
         actual = self._resolved(name, follow_redirect)
-        if self._fast:
-            return self._array_cell(actual)
         return self._allocator(self.storage_of(actual)).array(actual)
 
     def cell(self, name: str, follow_redirect: bool = True):
@@ -249,14 +198,8 @@ class Environment:
         This is what gets programmed into DMA registers; privatization
         redirects do not apply (section 2.1.2).
         """
-        cached = self._addr_cache.get(name) if self._fast else None
-        if cached is None:
-            sym = self.symbol(name, follow_redirect=False)
-            cached = (sym.addr, int(np.dtype(sym.dtype).itemsize))
-            if self._fast:
-                self._addr_cache[name] = cached
-        base, itemsize = cached
-        return base + int(offset_elems) * itemsize
+        sym = self.symbol(name, follow_redirect=False)
+        return sym.addr + int(offset_elems) * int(np.dtype(sym.dtype).itemsize)
 
     def copy_words(self, src: str, dst: str) -> int:
         """Bulk copy variable ``src`` into ``dst``; returns word count.
@@ -264,25 +207,6 @@ class Environment:
         Used by runtime privatization (CPU-driven, hence costed by the
         caller); both symbols must have identical shape.
         """
-        if self._fast:
-            cached = self._copy_cache.get((src, dst))
-            if cached is None:
-                s = self.symbol(src, follow_redirect=False)
-                d = self.symbol(dst, follow_redirect=False)
-                if (s.dtype, s.length) != (d.dtype, d.length):
-                    raise ProgramError(
-                        f"copy shape mismatch: {src!r} {s.dtype}x{s.length} "
-                        f"vs {dst!r} {d.dtype}x{d.length}"
-                    )
-                cached = (
-                    self.machine.space.view(s.addr, s.nbytes),
-                    self.machine.space.view(d.addr, d.nbytes),
-                    max(1, s.nbytes // 2),
-                )
-                self._copy_cache[(src, dst)] = cached
-            sv, dv, words = cached
-            dv[:] = sv  # byte views alias the regions: this IS the write
-            return words
         s = self.symbol(src, follow_redirect=False)
         d = self.symbol(dst, follow_redirect=False)
         if (s.dtype, s.length) != (d.dtype, d.length):
@@ -304,51 +228,6 @@ class Environment:
             else:
                 out[name] = self.cell(name, follow_redirect=False).get()
         return out
-
-
-#: static access classification used by the interpreter plans
-_ACC_VOL = 0   # declared volatile (SRAM/LEA-RAM) -> read_volatile_us
-_ACC_NV = 1    # declared non-volatile (FRAM)     -> read_nv_us
-_ACC_DYN = 2   # not a program declaration        -> resolve at run time
-
-#: operator tables for the fast expression evaluator ("//" is special-
-#: cased: the reference semantics round through int())
-_BINOPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "%": operator.mod,
-    "min": min,
-    "max": max,
-}
-_CMPOPS = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "==": operator.eq,
-    "!=": operator.ne,
-}
-
-
-def _interp_plan(program: A.Program) -> Dict[int, tuple]:
-    """The per-program interpreter plan (shared across runs).
-
-    Maps ``id(node)`` of AST statements/expressions to precomputed
-    access lists and cost counts.  The plan is memoized on the
-    (immutable) program object itself, so every runtime instantiated
-    from one compiled program — including all workers forked after the
-    compilation cache warmed — shares a single plan and never re-walks
-    an expression tree to discover its reads.  Entries depend only on
-    the program's declarations, never on runtime policy or machine
-    state, which is what makes the sharing safe.
-    """
-    plan = program.__dict__.get("_interp_plan")
-    if plan is None:
-        plan = {}
-        object.__setattr__(program, "_interp_plan", plan)
-    return plan
 
 
 def _count_gettime(expr: A.Expr) -> int:
@@ -399,35 +278,6 @@ class TaskRuntime:
         # interpreter context: loop variables of the current attempt
         self._loop_vars: Dict[str, int] = {}
         self._attempts: Dict[int, int] = {}
-        # fast path: per-program interpreter plan + hot cells
-        self._fast = fastpath.enabled()
-        self._plan = _interp_plan(program) if self._fast else None
-        self._decl_nv = {d.name: d.storage == A.NV for d in program.decls}
-        if self._fast:
-            self._seq_cell = self.env.cell("__task_seq")
-            self._cur_cell = self.env.cell("__cur_task")
-            self._done_cell = self.env.cell("__done")
-            self._dispatch = {
-                A.Assign: self._exec_assign,
-                A.Compute: self._exec_compute,
-                A.IOCall: self._exec_io,
-                A.IOBlock: self._exec_ioblock,
-                A.DMACopy: self._exec_dma,
-                A.If: self._exec_if,
-                A.Loop: self._exec_loop,
-                A.RegionBoundary: self._exec_region_boundary,
-                A.CopyWords: self._exec_copy_words,
-                A.Marker: self._exec_marker,
-            }
-        else:
-            self._seq_cell = None
-            self._cur_cell = None
-            self._done_cell = None
-            self._dispatch = None
-        # per-instance caches of run-invariant statement state
-        # (cells/symbols belong to THIS machine, so they must not live
-        # in the program-wide plan shared across instances)
-        self._rb_cache: Dict[int, tuple] = {}
         self._load()
 
     # -- compiled-program lifecycle ------------------------------------------
@@ -506,13 +356,10 @@ class TaskRuntime:
 
     @property
     def completed(self) -> bool:
-        if self._done_cell is not None:
-            return bool(self._done_cell.get())
         return bool(self.env.cell("__done").get())
 
     def current_task_name(self) -> str:
-        cell = self._cur_cell
-        idx = int(cell.get() if cell is not None else self.env.cell("__cur_task").get())
+        idx = int(self.env.cell("__cur_task").get())
         return self.program.tasks[idx].name
 
     def text_proxy(self) -> int:
@@ -532,14 +379,9 @@ class TaskRuntime:
     def start(self) -> Iterator[Step]:
         """(Re)start execution from the committed task cursor."""
         self._loop_vars.clear()
-        fast = self._fast
         while not self.completed:
-            if fast:
-                idx = int(self._cur_cell.get())
-                seq = int(self._seq_cell.get())
-            else:
-                idx = int(self.env.cell("__cur_task").get())
-                seq = int(self.env.cell("__task_seq").get())
+            idx = int(self.env.cell("__cur_task").get())
+            seq = int(self.env.cell("__task_seq").get())
             task = self.program.tasks[idx]
             self._attempts[seq] = self._attempts.get(seq, 0) + 1
             self.machine.trace.emit(
@@ -576,52 +418,7 @@ class TaskRuntime:
                 total += cost.read_volatile_us
         return total
 
-    # -- plan-backed cost model (fast path) --------------------------------
-
-    def _classify_access(self, name: str) -> int:
-        nv = self._decl_nv.get(name)
-        if nv is None:
-            return _ACC_DYN
-        return _ACC_NV if nv else _ACC_VOL
-
-    def _access_entries(self, accesses: Sequence[A.VarAccess]) -> tuple:
-        return tuple((acc.name, self._classify_access(acc.name)) for acc in accesses)
-
-    def _entries_cost(self, entries: tuple) -> float:
-        cost = self.machine.cost
-        loop_vars = self._loop_vars
-        total = 0.0
-        for name, cls in entries:
-            if name in loop_vars:
-                continue  # register-allocated
-            if cls == _ACC_NV:
-                total += cost.read_nv_us
-            elif cls == _ACC_VOL:
-                total += cost.read_volatile_us
-            else:
-                if not self.program.has_decl(name) and name not in self.env._storage:
-                    continue
-                if self.env.is_nv(name):
-                    total += cost.read_nv_us
-                else:
-                    total += cost.read_volatile_us
-        return total
-
-    def _expr_plan(self, expr: A.Expr) -> tuple:
-        key = id(expr)
-        entry = self._plan.get(key)
-        if entry is None:
-            entry = (self._access_entries(expr.reads()), _count_gettime(expr))
-            self._plan[key] = entry
-        return entry
-
     def _expr_cost(self, expr: A.Expr) -> float:
-        if self._fast:
-            entries, n_gettime = self._expr_plan(expr)
-            total = self._entries_cost(entries)
-            if n_gettime:
-                total += n_gettime * self.machine.cost.timekeeper_read_us
-            return total
         return (
             self._access_cost(expr.reads())
             + _count_gettime(expr) * self.machine.cost.timekeeper_read_us
@@ -630,26 +427,8 @@ class TaskRuntime:
     # -- interpreter --------------------------------------------------------------
 
     def _exec_stmts(self, stmts: Sequence[A.Stmt]) -> Iterator[Step]:
-        dispatch = self._dispatch
-        if dispatch is None:
-            for stmt in stmts:
-                yield from self._exec_stmt(stmt)
-            return
         for stmt in stmts:
-            handler = dispatch.get(type(stmt))
-            if handler is not None:
-                yield from handler(stmt)
-            elif type(stmt) is A.TransitionTo:
-                yield from self._exec_transition(stmt.task)
-            elif type(stmt) is A.Halt:
-                yield from self._exec_halt()
-            else:
-                # AST subclasses and unknowns: isinstance-based fallback
-                yield from self._exec_stmt(stmt)
-
-    def _exec_ioblock(self, stmt: A.IOBlock) -> Iterator[Step]:
-        # un-transformed block (baselines): plain sequencing
-        yield from self._exec_stmts(stmt.body)
+            yield from self._exec_stmt(stmt)
 
     def _exec_stmt(self, stmt: A.Stmt) -> Iterator[Step]:
         if isinstance(stmt, A.Assign):
@@ -683,45 +462,6 @@ class TaskRuntime:
     # -- expressions ---------------------------------------------------------------
 
     def _eval(self, expr: A.Expr) -> float:
-        if self._fast:
-            # exact-type dispatch ordered by observed frequency; any
-            # subclassed node falls through to the reference chain
-            t = type(expr)
-            if t is A.Var:
-                loop_vars = self._loop_vars
-                if expr.name in loop_vars:
-                    return float(loop_vars[expr.name])
-                return float(self.env.read(expr.name))
-            if t is A.Const:
-                return float(expr.value)
-            if t is A.BinOp:
-                fn = _BINOPS.get(expr.op)
-                if fn is not None:
-                    return fn(self._eval(expr.lhs), self._eval(expr.rhs))
-                if expr.op == "//":
-                    return float(int(self._eval(expr.lhs) // self._eval(expr.rhs)))
-                # unknown op: reference chain reproduces the error path
-            if t is A.Index:
-                return float(
-                    self.env.read(expr.name, int(self._eval(expr.index)))
-                )
-            if t is A.Cmp:
-                op = _CMPOPS[expr.op]
-                return 1.0 if op(self._eval(expr.lhs), self._eval(expr.rhs)) else 0.0
-            if t is A.BoolOp:
-                if expr.op == "and":
-                    for op in expr.operands:
-                        if self._eval(op) == 0.0:
-                            return 0.0
-                    return 1.0
-                for op in expr.operands:  # or
-                    if self._eval(op) != 0.0:
-                        return 1.0
-                return 0.0
-            if t is A.Not:
-                return 0.0 if self._eval(expr.operand) != 0.0 else 1.0
-            if t is A.GetTime:
-                return self.machine.timekeeper.read(self.machine.now_us)
         if isinstance(expr, A.Const):
             return float(expr.value)
         if isinstance(expr, A.Var):
@@ -790,37 +530,6 @@ class TaskRuntime:
 
     def _exec_assign(self, stmt: A.Assign) -> Iterator[Step]:
         cost = self.machine.cost
-        if self._fast:
-            key = id(stmt)
-            plan = self._plan.get(key)
-            if plan is None:
-                target = A.lvalue_access(stmt.target)
-                plan = (
-                    self._expr_plan(stmt.expr),
-                    self._access_entries(stmt.writes()),
-                    target.name,
-                    self._classify_access(target.name),
-                )
-                self._plan[key] = plan
-            (expr_entries, n_gettime), write_entries, tname, tcls = plan
-            duration = (
-                cost.assign_us
-                + self._entries_cost(expr_entries)
-                + self._entries_cost(write_entries)
-            )
-            if n_gettime:
-                duration += n_gettime * cost.timekeeper_read_us
-            if tname in self._loop_vars:
-                category = "cpu"
-            elif tcls == _ACC_NV:
-                category = "fram"
-            elif tcls == _ACC_VOL:
-                category = "cpu"
-            else:
-                category = "fram" if self._is_nv_name(tname) else "cpu"
-            yield Step(duration, self._kind_of(stmt.synthetic), category)
-            self._store(stmt.target, self._eval(stmt.expr))
-            return
         duration = (
             cost.assign_us
             + self._expr_cost(stmt.expr)
@@ -875,10 +584,7 @@ class TaskRuntime:
         return tuple(self._loop_vars.values())
 
     def _site_key(self, site: str) -> Tuple[int, str, Tuple[int, ...]]:
-        if self._seq_cell is not None:
-            seq = int(self._seq_cell.get())
-        else:
-            seq = int(self.env.cell("__task_seq").get())
+        seq = int(self.env.cell("__task_seq").get())
         return (seq, site, self._loop_index_key())
 
     def _io_duration(self, call: A.IOCall) -> Tuple[float, str]:
@@ -1043,31 +749,22 @@ class TaskRuntime:
     # -- regional privatization (used by EaseIO-transformed programs) --------------------
 
     def _exec_region_boundary(self, rb: A.RegionBoundary) -> Iterator[Step]:
-        # duration and the flag cells are fixed per boundary statement
-        # (symbols never move; costs are per-machine) — memoize them in
-        # the per-instance cache so re-executions skip symbol lookups.
-        cached = self._rb_cache.get(id(rb)) if self._fast else None
-        if cached is None:
-            cost = self.machine.cost
-            words = 0
-            for var, _copy in rb.copies:
-                words += max(
-                    1, self.env.symbol(var, follow_redirect=False).nbytes // 2
-                )
-            duration = (
-                cost.flag_check_us + cost.flag_set_us + words * cost.priv_word_us
+        cost = self.machine.cost
+        words = 0
+        for var, _copy in rb.copies:
+            words += max(
+                1, self.env.symbol(var, follow_redirect=False).nbytes // 2
             )
-            cached = (
-                duration,
-                self.env.cell(rb.flag, follow_redirect=False),
-                None
-                if rb.dma_flag is None
-                else self.env.cell(rb.dma_flag, follow_redirect=False),
-                words * 2,
-            )
-            if self._fast:
-                self._rb_cache[id(rb)] = cached
-        duration, flag, dma_flag_cell, nbytes = cached
+        duration = (
+            cost.flag_check_us + cost.flag_set_us + words * cost.priv_word_us
+        )
+        flag = self.env.cell(rb.flag, follow_redirect=False)
+        dma_flag_cell = (
+            None
+            if rb.dma_flag is None
+            else self.env.cell(rb.dma_flag, follow_redirect=False)
+        )
+        nbytes = words * 2
         yield Step(duration, OVERHEAD, "fram")
         refresh = False
         if rb.refresh_on is not None:
@@ -1113,15 +810,14 @@ class TaskRuntime:
     # -- task transitions ------------------------------------------------------------------
 
     def _exec_transition(self, next_task: str) -> Iterator[Step]:
-        fast = self._fast
-        cur_cell = self._cur_cell if fast else self.env.cell("__cur_task")
+        cur_cell = self.env.cell("__cur_task")
         task = self.program.tasks[int(cur_cell.get())]
         yield from self._commit_steps(task)
         yield Step(self.machine.cost.commit_base_us, OVERHEAD, "fram")
         # ---- atomic commit point ----
         self._commit_effects(task)
         cur_cell.set(self._task_index[next_task])
-        seq_cell = self._seq_cell if fast else self.env.cell("__task_seq")
+        seq_cell = self.env.cell("__task_seq")
         seq_cell.set(int(seq_cell.get()) + 1)
         self.env.redirects.clear()
         self.machine.trace.emit(
@@ -1130,14 +826,13 @@ class TaskRuntime:
         raise _TaskExit(halted=False)
 
     def _exec_halt(self) -> Iterator[Step]:
-        fast = self._fast
-        cur_cell = self._cur_cell if fast else self.env.cell("__cur_task")
+        cur_cell = self.env.cell("__cur_task")
         task = self.program.tasks[int(cur_cell.get())]
         yield from self._commit_steps(task)
         yield Step(self.machine.cost.commit_base_us, OVERHEAD, "fram")
         self._commit_effects(task)
-        (self._done_cell if fast else self.env.cell("__done")).set(1)
-        seq_cell = self._seq_cell if fast else self.env.cell("__task_seq")
+        self.env.cell("__done").set(1)
+        seq_cell = self.env.cell("__task_seq")
         seq_cell.set(int(seq_cell.get()) + 1)
         self.env.redirects.clear()
         self.machine.trace.emit(

@@ -157,10 +157,29 @@ _TASK: Optional[Callable] = None
 _ENCODE: Optional[Callable] = None
 
 
+def _spread_worker() -> None:
+    """Start this worker on a CPU of its own, then free it again.
+
+    Forked workers start beside the parent, and on a 2-vCPU VM the
+    kernel was seen keeping all of them on one vCPU for a whole
+    campaign while the other sat idle, doubling its wall time.  One
+    placement spreads them; the full CPU mask is restored at once, so
+    the kernel stays free to move them afterwards.
+    """
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) > 1:
+            os.sched_setaffinity(0, {cpus[os.getpid() % len(cpus)]})
+            os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass  # no affinity control on this platform: the kernel decides
+
+
 def _pool_init(task, encode, user_init, user_args) -> None:
     # workers must survive the terminal's Ctrl-C so the parent can
     # drain them; the parent alone decides when the campaign stops
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _spread_worker()
     global _TASK, _ENCODE
     _TASK, _ENCODE = task, encode
     if user_init is not None:

@@ -15,8 +15,8 @@ everything a result depends on:
   generator coordinates (fuzz units);
 * the **fastpath flag** — both simulation paths are observationally
   identical by contract, but the store never *assumes* the contract it
-  is used to verify, so fast-path and reference-path results live under
-  distinct keys;
+  is used to verify, so VM-path (flag true) and reference-path (flag
+  false) results live under distinct keys;
 * the **semantics / lint versions**
   (:data:`repro.ir.semantics.SEMANTICS_VERSION`,
   :data:`repro.ir.lint.LINT_VERSION`) and the store's own

@@ -1,13 +1,13 @@
-"""repro.vm — compile interpreter plans into a register-style stepped VM.
+"""repro.vm — compile runtime policy into a register-style stepped VM.
 
-The third execution path (after the reference interpreter and the
-memoized fast path): :func:`~repro.vm.lower.lower` compiles one runtime
-instance's program — with that runtime's privatization/lock/IO/DMA
-policy baked in — into flat bytecode, and :class:`~repro.vm.machine.VM`
-steps it with explicit, snapshotable machine state.  Enabled with
-``REPRO_SIM_VM=1`` (see :mod:`repro.fastpath`); the two older paths are
-kept as oracles and every trace/metric they produce must match
-byte-for-byte (DESIGN.md §13).
+The default execution path (``REPRO_SIM_PATH=vm``, see
+:mod:`repro.fastpath`): :func:`~repro.vm.lower.lower` compiles one
+runtime instance's program — with that runtime's privatization/lock/
+IO/DMA policy baked in — into flat bytecode, and
+:class:`~repro.vm.machine.VM` steps it with explicit, snapshotable
+machine state.  The runtime's step-generator interpreter is the
+reference path and the oracle: every trace and metric the VM produces
+must match it byte-for-byte (DESIGN.md §13).
 """
 
 from repro.vm.machine import DISPATCH_PC, HALT, VM, VMCode

@@ -1,4 +1,4 @@
-"""Lowering: interpreter plans -> flat register-style bytecode.
+"""Lowering: runtime programs -> flat register-style bytecode.
 
 The :class:`Lowerer` walks a runtime's program once and produces the
 flat instruction list described in :mod:`repro.vm.machine`.  Everything
@@ -22,11 +22,13 @@ specialized instruction tuples:
   stats time-key, energy at the category's power draw) is precomputed
   so the executor's hot loop does no lookups.
 
-Costs are computed with the same classification the interpreter uses
-(:data:`_ACC_NV`/:data:`_ACC_VOL`/:data:`_ACC_DYN` entries, loop
-variables skipped); classifications that the interpreter resolves "at
-run time" are safely resolved here because the environment's variable
-population is fixed after runtime construction.
+Costs replicate the interpreter's cost model statically: every
+access is classified once (:data:`_ACC_NV`/:data:`_ACC_VOL` for
+program declarations, :data:`_ACC_DYN` for runtime-internal names the
+interpreter resolves "at run time") and loop variables are skipped;
+the dynamic classifications are safely resolved here because the
+environment's variable population is fixed after runtime
+construction.
 
 Anything the lowerer does not understand — subclassed AST nodes,
 unknown statements, shape mismatches — raises :class:`Unlowerable`,
@@ -47,8 +49,13 @@ from repro.hw import trace as T
 from repro.ir import ast as A
 from repro.kernel.executor import IntermittentExecutor
 from repro.kernel.stats import APP, IO, OVERHEAD, Step
-from repro.runtimes.base import _ACC_NV, _ACC_VOL, _count_gettime
+from repro.runtimes.base import _count_gettime
 from repro.vm.machine import DISPATCH_PC, HALT, VM, VMCode
+
+#: static access classification of the cost model
+_ACC_VOL = 0   # declared volatile (SRAM/LEA-RAM) -> read_volatile_us
+_ACC_NV = 1    # declared non-volatile (FRAM)     -> read_nv_us
+_ACC_DYN = 2   # not a program declaration        -> resolve via the env
 
 
 class Unlowerable(Exception):
@@ -101,6 +108,9 @@ class Lowerer:
         self._emit_tr = runtime.machine.trace.emit
         self._power = IntermittentExecutor._power_table(runtime.machine)
         self._cpu_mw = self.cost.power_cpu_mw
+        self._decl_nv = {
+            d.name: d.storage == A.NV for d in runtime.program.decls
+        }
 
     # ==== spec stream primitives ==========================================
 
@@ -141,6 +151,17 @@ class Lowerer:
 
     # ==== cost model (static replica of the interpreter's) ================
 
+    def classify_access(self, name: str) -> int:
+        nv = self._decl_nv.get(name)
+        if nv is None:
+            return _ACC_DYN
+        return _ACC_NV if nv else _ACC_VOL
+
+    def access_entries(self, accesses: Sequence[A.VarAccess]) -> tuple:
+        return tuple(
+            (acc.name, self.classify_access(acc.name)) for acc in accesses
+        )
+
     def entries_cost(self, entries: tuple, ctx: Ctx) -> float:
         cost = self.cost
         env = self.env
@@ -163,7 +184,7 @@ class Lowerer:
         return total
 
     def expr_cost(self, expr: A.Expr, ctx: Ctx) -> float:
-        total = self.entries_cost(self.rt._access_entries(expr.reads()), ctx)
+        total = self.entries_cost(self.access_entries(expr.reads()), ctx)
         n_gettime = _count_gettime(expr)
         if n_gettime:
             total += n_gettime * self.cost.timekeeper_read_us
@@ -183,7 +204,7 @@ class Lowerer:
     def scalar_get(self, name: str) -> Callable:
         """A zero-arg reader for a scalar cell, as fast as available.
 
-        On the fast path the cell's typed view is stable for the
+        On the VM path the cell's typed view is stable for the
         machine's lifetime, so ``partial(view.item, 0)`` reads the
         element with a single C-level call — no Python frame.  Falls
         back to the bound ``Cell.get`` when no view exists.
@@ -364,13 +385,13 @@ class Lowerer:
         duration = (
             cost.assign_us
             + self.expr_cost(stmt.expr, ctx)
-            + self.entries_cost(self.rt._access_entries(stmt.writes()), ctx)
+            + self.entries_cost(self.access_entries(stmt.writes()), ctx)
         )
         tname = target.name
         if tname in ctx.loop_regs:
             category = "cpu"
         else:
-            cls = self.rt._classify_access(tname)
+            cls = self.classify_access(tname)
             if cls == _ACC_NV:
                 category = "fram"
             elif cls == _ACC_VOL:

@@ -6,7 +6,7 @@ runtime instance.  Its instruction stream is a flat list of tuples:
 
 ``(duration_us, step, time_key, category, energy_uj, effect, draw_mw)``
     a *charged* instruction: the precomputed :class:`Step` is charged
-    against clock/meter/capacitor exactly like the generator path
+    against clock and meter exactly like the generator path
     (``draw_mw`` prices truncated windows at a power failure), and
     ``effect(now_us) -> next_pc`` applies the statement's memory and
     trace effects afterwards;
@@ -136,7 +136,6 @@ class VM:
             },
             "tk": (tk._skew_us, tk.reads, tk.dark_periods),
             "tk_rng": tk._rng.bit_generator.state,
-            "cap_v": m.capacitor.voltage,
             "dma": (m.dma.transfer_count, m.dma.bytes_moved),
             "lea": m.lea.invocations,
             "trace_events": list(tr.events),
@@ -167,7 +166,6 @@ class VM:
         tk = m.timekeeper
         tk._skew_us, tk.reads, tk.dark_periods = snap["tk"]
         tk._rng.bit_generator.state = snap["tk_rng"]
-        m.capacitor.voltage = snap["cap_v"]
         m.dma.transfer_count, m.dma.bytes_moved = snap["dma"]
         m.lea.invocations = snap["lea"]
         tr = m.trace
@@ -183,10 +181,10 @@ class VM:
         """Step the VM without a failure model; returns charged steps.
 
         Charges each instruction's time and energy against the bound
-        machine (same arithmetic as the executor, no failures, no
-        capacitor) and applies its effect.  Stops after ``max_steps``
-        charged steps or at :data:`HALT`.  This is the pause/resume
-        surface: call with a budget, :meth:`snapshot`, resume later.
+        machine (same arithmetic as the executor, no failures) and
+        applies its effect.  Stops after ``max_steps`` charged steps or
+        at :data:`HALT`.  This is the pause/resume surface: call with a
+        budget, :meth:`snapshot`, resume later.
         """
         rt = self.runtime
         m = rt.machine

@@ -45,16 +45,19 @@ def test_bench_sim_json_schema(tmp_path):
 
 
 def test_compare_mode_records_baseline_and_speedup():
+    """Two paths: ``wall_s`` is the vm path, the baseline the reference."""
+    from repro import fastpath
+
+    was = fastpath.path()
     doc = run_suite(names=["continuous_fir"], quick=True, compare=True)
     [entry] = doc["benchmarks"]
     assert entry["baseline_wall_s"] > 0
-    # speedup is rounded to 2 decimals in the document
-    assert entry["speedup"] == pytest.approx(
+    # the speedup is rounded to 2 decimals in the document
+    assert entry["vm_speedup"] == pytest.approx(
         entry["baseline_wall_s"] / entry["wall_s"], abs=0.005
     )
-    from repro import fastpath
-
-    assert fastpath.enabled()  # restored after the suite
+    assert "speedup" not in entry  # no middle (fast path) column
+    assert fastpath.path() == was  # restored after the suite
 
 
 def test_trace_events_false_allocates_no_events(monkeypatch):

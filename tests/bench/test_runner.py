@@ -3,13 +3,9 @@
 import pytest
 
 from repro.apps import APPS, fir
-from repro.bench.runner import (
-    Aggregate,
-    KneeRFHarvester,
-    rf_distance_harvester,
-    run_many,
-)
-from repro.hw.harvester import RFHarvester
+from repro.bench.experiments import fig13_environment
+from repro.bench.runner import Aggregate, run_many
+from repro.env import RFSource
 
 
 class TestRunMany:
@@ -59,29 +55,31 @@ class TestRunMany:
 
 
 class TestKneeHarvester:
+    """The Figure 13 link calibration: ``RFSource``'s rectifier knee."""
+
     def test_knee_reduces_harvest_at_range(self):
-        plain = RFHarvester(64.0)
-        knee = KneeRFHarvester(64.0)
+        plain = RFSource(64.0, knee_mw=0.0)
+        knee = RFSource(64.0)
         assert knee.mean_power_mw() < plain.mean_power_mw()
 
     def test_knee_penalty_grows_with_distance(self):
         """The knee makes the falloff steeper than inverse-square."""
         near_ratio = (
-            KneeRFHarvester(52.0).mean_power_mw()
-            / RFHarvester(52.0).mean_power_mw()
+            RFSource(52.0).mean_power_mw()
+            / RFSource(52.0, knee_mw=0.0).mean_power_mw()
         )
         far_ratio = (
-            KneeRFHarvester(64.0).mean_power_mw()
-            / RFHarvester(64.0).mean_power_mw()
+            RFSource(64.0).mean_power_mw()
+            / RFSource(64.0, knee_mw=0.0).mean_power_mw()
         )
         assert far_ratio < near_ratio
 
     def test_distance_factory_is_seeded(self):
-        a = rf_distance_harvester(58.0, seed=4)
-        b = rf_distance_harvester(58.0, seed=4)
-        assert a.power_mw(1000.0) == b.power_mw(1000.0)
+        a = fig13_environment(58.0, seed=4).source
+        b = fig13_environment(58.0, seed=4).source
+        assert a.segments(200_000.0) == b.segments(200_000.0)
 
     def test_fading_enabled(self):
-        h = rf_distance_harvester(58.0, seed=4)
+        h = fig13_environment(58.0, seed=4).source
         samples = {round(h.power_mw(t * 20_000.0), 9) for t in range(10)}
         assert len(samples) > 1

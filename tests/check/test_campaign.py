@@ -1,8 +1,8 @@
 """End-to-end campaign tests (the checker's acceptance behaviour).
 
-The whole module runs twice — once on the simulation fast path and
-once on the reference path — so the checker's verdicts can never
-silently depend on the memoization layer.
+The whole module runs twice — once on the VM path and once on the
+reference path — so the checker's verdicts can never silently depend
+on the compile cache, the machine pool or the bytecode.
 """
 
 import json
@@ -10,21 +10,9 @@ import os
 
 import pytest
 
-from repro import fastpath
 from repro.check import CampaignConfig, run_campaign
 
-
-@pytest.fixture(
-    scope="module",
-    params=[True, False],
-    ids=["fastpath", "reference"],
-    autouse=True,
-)
-def sim_path(request):
-    prev = fastpath.enabled()
-    fastpath.set_enabled(request.param)
-    yield request.param
-    fastpath.set_enabled(prev)
+pytestmark = pytest.mark.usefixtures("sim_path")
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """Compilation cache and machine-recycling correctness.
 
-The whole fast path hangs on one invariant: cached and cold execution
+The whole VM path hangs on one invariant: cached and cold execution
 must be observationally identical — same metrics, same NV result state,
 run after run, with no state leaking between runs through the shared
 compiled artifact or a recycled machine.
@@ -14,19 +14,21 @@ from repro.core.compile import (
     cache_info,
     clear_cache,
     compile_app,
+    evict,
     instantiate,
     runtime_for,
 )
 from repro.core.run import nv_state, run_app
 from repro.hw.mcu import build_machine
 from repro.kernel.power import ScriptedFailures, UniformFailureModel
+from tests.conftest import on_sim_path
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    clear_cache()
-    yield
-    fastpath.set_enabled(True)
+    # switching paths clears every cache; the ambient path comes back
+    with on_sim_path(fastpath.path()):
+        yield
 
 
 def _metrics_dict(result):
@@ -48,13 +50,13 @@ def _run(app, runtime, reuse=False, seed=3):
 
 @pytest.mark.parametrize("runtime", ["alpaca", "easeio"])
 def test_cached_run_matches_cold_run(runtime):
-    """Fast-path (cached) and reference-path runs are byte-identical."""
-    fastpath.set_enabled(True)
+    """VM-path (cached) and reference-path runs are byte-identical."""
+    fastpath.set_path("vm")
     warm1 = _run("uni_dma", runtime)
     warm2 = _run("uni_dma", runtime)  # second run hits the cache
     assert cache_info()["hits"] > 0
 
-    fastpath.set_enabled(False)
+    fastpath.set_path("reference")
     cold = _run("uni_dma", runtime)
 
     for other in (warm1, warm2):
@@ -65,7 +67,7 @@ def test_cached_run_matches_cold_run(runtime):
 
 
 def test_cache_keys_separate_build_kwargs_and_runtime():
-    fastpath.set_enabled(True)
+    fastpath.set_path("vm")
     p1 = build_app_program("fir")
     p2 = build_app_program("fir")
     assert p1 is p2  # same key -> shared artifact
@@ -76,7 +78,7 @@ def test_cache_keys_separate_build_kwargs_and_runtime():
 
 
 def test_cache_bypassed_when_fastpath_disabled():
-    fastpath.set_enabled(False)
+    fastpath.set_path("reference")
     p1 = build_app_program("fir")
     p2 = build_app_program("fir")
     assert p1 is not p2
@@ -85,7 +87,7 @@ def test_cache_bypassed_when_fastpath_disabled():
 
 def test_no_state_leaks_between_cached_runs():
     """The same compiled artifact backs failing and clean runs alike."""
-    fastpath.set_enabled(True)
+    fastpath.set_path("vm")
     clean_before = _run_clean()
     _run("uni_dma", "easeio")  # a failing run in between
     clean_after = _run_clean()
@@ -102,7 +104,7 @@ def _run_clean():
 
 def test_recycled_machine_matches_fresh_machine():
     """reset()-recycled machines reproduce fresh-machine runs exactly."""
-    fastpath.set_enabled(True)
+    fastpath.set_path("vm")
     fresh = _run("uni_dma", "easeio", reuse=False)
     recycled_1 = _run("uni_dma", "easeio", reuse=True)
     recycled_2 = _run("uni_dma", "easeio", reuse=True)  # pool hit + reset
@@ -117,7 +119,7 @@ def test_recycled_machine_matches_fresh_machine():
 
 def test_recycled_machine_after_dirty_run():
     """A run abandoned mid-flight leaves no trace in the next one."""
-    fastpath.set_enabled(True)
+    fastpath.set_path("vm")
     # scripted failures leave the machine mid-task (dirty flags, partial
     # NV writes) — the next acquisition must reset all of it
     compiled = compile_app("uni_dma", "easeio")
@@ -127,22 +129,22 @@ def test_recycled_machine_after_dirty_run():
         next(gen)
     gen.close()
     redo = _run("uni_dma", "easeio", reuse=True)
-    fastpath.set_enabled(False)
+    fastpath.set_path("reference")
     cold = _run("uni_dma", "easeio", reuse=False)
     assert _metrics_dict(redo) == _metrics_dict(cold)
 
 
 def test_runtime_pool_ignored_for_custom_machines():
-    """Custom cost/capacitor configurations never hit the pool."""
-    from repro.hw.energy import Capacitor
+    """Custom cost configurations never hit the pool."""
+    from repro.hw.mcu import CostModel
     from repro.kernel.power import NoFailures
 
-    fastpath.set_enabled(True)
+    fastpath.set_path("vm")
     run_app(
         "fir",
         runtime="easeio",
         failure_model=NoFailures(),
-        capacitor=Capacitor(),
+        cost=CostModel(),
         reuse_machine=True,
     )
     assert cache_info()["runtimes"] == 0
@@ -150,7 +152,7 @@ def test_runtime_pool_ignored_for_custom_machines():
 
 def test_instantiate_gives_independent_runtimes():
     """Two instances off one artifact share no mutable state."""
-    fastpath.set_enabled(True)
+    fastpath.set_path("vm")
     compiled = compile_app("fir", "easeio")
     rt_a = instantiate(compiled, build_machine(seed=1))
     rt_b = instantiate(compiled, build_machine(seed=1))
@@ -160,3 +162,17 @@ def test_instantiate_gives_independent_runtimes():
     IntermittentExecutor(failure_model=ScriptedFailures([])).run(rt_a)
     assert rt_a.completed
     assert not rt_b.completed
+
+
+def test_evict_drops_one_program_and_keeps_the_rest():
+    fastpath.set_path("vm")
+    _run("uni_dma", "easeio", reuse=True)
+    _run("uni_dma", "alpaca", reuse=True)
+    _run("fir", "easeio", reuse=True)
+    assert cache_info()["compiled"] == cache_info()["runtimes"] == 3
+    evict("uni_dma")
+    info = cache_info()
+    assert (info["programs"], info["compiled"], info["runtimes"]) == (1, 1, 1)
+    # the surviving pool entry still recycles
+    _run("fir", "easeio", reuse=True)
+    assert cache_info()["vm_hits"] == 1

@@ -1,48 +1,36 @@
-"""Three-path equivalence of energy-driven failure schedules.
+"""VM ≡ reference equivalence of energy-driven failure schedules.
 
 The environment hooks (`fail_time` / `commit_window` / `on_failure`)
-are implemented twice — once for the reference/fastpath step executor,
-once for the compiled VM — and the whole point of closed-form segment
+are driven twice — once by the reference path's step executor, once
+by the compiled VM's loop — and the whole point of closed-form segment
 arithmetic is that both produce the *same floats*.  Every app on every
 runtime under a stochastic environment must therefore show identical
 emergent failure instants, metrics, traces, NV images, env counters
-and checker verdicts on all three execution paths.  A divergence here
-means the energy model leaks path-dependent rounding.
+and checker verdicts on both execution paths, with the VM side really
+running bytecode.  A divergence here means the energy model leaks
+path-dependent rounding.
 """
 
 import pytest
 
-from repro import fastpath
 from repro.check import CampaignConfig, run_campaign
+from repro.core.compile import compile_app, instantiate
 from repro.core.run import run_app
 from repro.env import parse_env
 from repro.errors import NonTermination
+from repro.hw.mcu import build_machine
+from repro.obs import metrics as M
+from tests.conftest import on_sim_path
 
 APPS = ("uni_dma", "uni_temp", "uni_lea", "fir", "weather")
 RUNTIMES = ("easeio", "alpaca", "ink", "samoyed")
 
 ENV = "markov:on_mw=8,mean_on_ms=10,mean_off_ms=30,tail=1.5,seed=11,cap_uf=2.2"
 
-#: (id, fastpath enabled, vm enabled)
-PATHS = (
-    ("reference", False, False),
-    ("fastpath", True, False),
-    ("vm", True, True),
-)
-
-
-def _with_path(enabled, vm, fn):
-    was_fast = fastpath.enabled()
-    was_vm = fastpath.vm_enabled()
-    fastpath.set_enabled(enabled)
-    fastpath.set_vm_enabled(vm)
-    fastpath.clear_caches()
-    try:
-        return fn()
-    finally:
-        fastpath.set_enabled(was_fast)
-        fastpath.set_vm_enabled(was_vm)
-        fastpath.clear_caches()
+def _lowers(app, runtime):
+    """Whether the active path runs this cell as bytecode."""
+    rt = instantiate(compile_app(app, runtime), build_machine(seed=1))
+    return getattr(rt, "_vm", None) is not None
 
 
 def _observe(app, runtime):
@@ -79,29 +67,33 @@ def _observe(app, runtime):
 @pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("app", APPS)
 def test_energy_runs_observationally_identical(app, runtime):
-    runs = {
-        name: _with_path(enabled, vm, lambda: _observe(app, runtime))
-        for name, enabled, vm in PATHS
-    }
-    assert runs["fastpath"] == runs["reference"]
-    assert runs["vm"] == runs["reference"]
+    with on_sim_path("reference"):
+        reference = _observe(app, runtime)
+    with on_sim_path("vm"):
+        assert _lowers(app, runtime), "vm path would run the generator"
+        vm = _observe(app, runtime)
+    assert vm == reference
 
 
 def _verdict(app, runtime):
-    report = run_campaign(CampaignConfig(
-        app=app, runtime=runtime, limit=12, shrink=False, env=ENV,
-    ))
-    return (report.ok, dict(report.by_kind), report.n_runs,
-            report.total_violations)
+    """(verdict, runs, runs executed as bytecode) of a small campaign."""
+    with M.collecting() as reg:
+        report = run_campaign(CampaignConfig(
+            app=app, runtime=runtime, limit=12, shrink=False, env=ENV,
+        ))
+    verdict = (report.ok, dict(report.by_kind), report.n_runs,
+               report.total_violations)
+    return verdict, reg.counters.get("runs", 0), reg.counters.get("vm.runs", 0)
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("app", ("uni_temp", "fir"))
 def test_env_checker_verdicts_identical_on_all_paths(app, runtime):
     """Injected resets composed with emergent brown-outs: same verdicts."""
-    verdicts = {
-        name: _with_path(enabled, vm, lambda: _verdict(app, runtime))
-        for name, enabled, vm in PATHS
-    }
-    assert verdicts["fastpath"] == verdicts["reference"]
-    assert verdicts["vm"] == verdicts["reference"]
+    with on_sim_path("reference"):
+        reference, _, ref_vm_runs = _verdict(app, runtime)
+    with on_sim_path("vm"):
+        vm, runs, vm_runs = _verdict(app, runtime)
+    assert ref_vm_runs == 0
+    assert runs > 0 and vm_runs == runs, "vm campaign ran the generator"
+    assert vm == reference

@@ -16,9 +16,10 @@ import os
 
 import pytest
 
-from repro import fastpath
 from repro.fuzz.harness import BUG_CLASSES, _campaign
 from repro.fuzz.spec import count_statements, spec_to_json, validate_spec
+from repro.obs import metrics as M
+from tests.conftest import on_sim_path
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 ENTRIES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -97,32 +98,20 @@ def test_env_entry_needs_its_environment(path):
         )
 
 
-#: (id, fastpath enabled, vm enabled) — the three execution paths
-PATHS = (
-    ("reference", False, False),
-    ("fastpath", True, False),
-    ("vm", True, True),
-)
-
-
 @pytest.mark.parametrize("path", ENTRIES, ids=_ids(ENTRIES))
 def test_entry_verdict_stable_across_execution_paths(path):
-    """Each reproducer shows the *same* verdict class on all paths.
+    """Each reproducer shows the *same* verdict class on both paths.
 
     The corpus doubles as a semantic regression net for the compiled
     VM: a shrunk reproducer that flags ``repeated_io`` on the reference
     interpreter must flag exactly ``repeated_io`` — not a different
-    class, not a clean run — on the fast path and on compiled bytecode.
+    class, not a clean run — on compiled bytecode, and every VM run
+    must really have executed bytecode.
     """
     entry = _load(path)
-    was_fast = fastpath.enabled()
-    was_vm = fastpath.vm_enabled()
     verdicts = {}
-    try:
-        for name, enabled, vm in PATHS:
-            fastpath.set_enabled(enabled)
-            fastpath.set_vm_enabled(vm)
-            fastpath.clear_caches()
+    for name in ("reference", "vm"):
+        with on_sim_path(name), M.collecting() as reg:
             report = _campaign(
                 spec_to_json(entry["spec"]),
                 entry["runtime"],
@@ -130,12 +119,14 @@ def test_entry_verdict_stable_across_execution_paths(path):
                 entry["env_seed"],
                 env=entry.get("env"),
             )
-            verdicts[name] = (report.ok, dict(report.by_kind))
-    finally:
-        fastpath.set_enabled(was_fast)
-        fastpath.set_vm_enabled(was_vm)
-        fastpath.clear_caches()
-    assert verdicts["fastpath"] == verdicts["reference"]
+        verdicts[name] = (report.ok, dict(report.by_kind))
+        vm_runs = reg.counters.get("vm.runs", 0)
+        if name == "vm":
+            assert vm_runs == reg.counters.get("runs", 0) > 0, (
+                f"{os.path.basename(path)} ran the generator on the vm path"
+            )
+        else:
+            assert vm_runs == 0
     assert verdicts["vm"] == verdicts["reference"]
     assert entry["kind"] in verdicts["vm"][1], (
         f"{os.path.basename(path)} lost its {entry['kind']} verdict "

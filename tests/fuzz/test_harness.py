@@ -5,11 +5,14 @@ import json
 
 import pytest
 
+from repro.core.compile import cache_info
+from repro.core.run import run_app
 from repro.fuzz.harness import (
     BUG_CLASSES,
     FuzzConfig,
     fuzz_run,
 )
+from tests.conftest import on_sim_path
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +81,21 @@ class TestDeterminism:
             )
 
         assert fingerprint(serial) == fingerprint(parallel)
+
+
+class TestCacheFootprint:
+    def test_fuzz_run_leaves_the_compile_cache_as_it_found_it(self):
+        """Every checked program and shrink candidate is evicted, and
+        nothing else is: a warm pool entry from other work survives."""
+        with on_sim_path("vm"):
+            run_app("fir", runtime="easeio", reuse_machine=True)
+            before = cache_info()
+            report = fuzz_run(FuzzConfig(
+                runs=10, seed=0, runtimes=("easeio", "alpaca"), limit=12,
+                shrink_limit=8, max_shrink_evals=40,
+            ))
+            after = cache_info()
+        assert len(report.programs) == 10 and report.reproducers
+        assert before["compiled"] == before["runtimes"] == 1
+        for key in ("programs", "compiled", "runtimes"):
+            assert after[key] == before[key], key

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.env import ConstantSource, EnergyEnvironment
 from repro.errors import ReproError
 from repro.hw.energy import Capacitor, EnergyMeter, power_time_to_energy_uj
 
@@ -64,18 +65,23 @@ class TestCapacitor:
         assert cap.stored_uj == pytest.approx(e + 1.0)
 
     def test_recharge_to_on_duration(self):
+        # after a brown-out the energy environment keeps the board dark
+        # until its source recharges the capacitor to the on threshold
         cap = Capacitor(capacitance_f=1e-3, v_max=3.0, v_on=2.5, v_off=1.5)
+        env = EnergyEnvironment(ConstantSource(2.0), capacitor=cap)
         cap.discharge(cap.usable_uj * 2)  # brown out
         deficit = 0.5 * 1e-3 * (2.5**2 - 1.5**2) * 1e6
-        dark = cap.recharge_to_on(power_mw=2.0)
+        dark = env.on_failure(0.0)
         assert dark == pytest.approx(deficit / (2.0 * 1e-3))
         assert cap.voltage == pytest.approx(cap.v_on)
         assert cap.is_on
 
     def test_recharge_with_no_harvest_never_boots(self):
         cap = Capacitor()
+        env = EnergyEnvironment(ConstantSource(0.0), capacitor=cap)
         cap.discharge(cap.usable_uj * 2)
-        assert math.isinf(cap.recharge_to_on(power_mw=0.0))
+        assert math.isinf(env.on_failure(0.0))
+        assert env.died_dark
 
     def test_budget_is_full_swing(self):
         cap = Capacitor(capacitance_f=1e-3, v_max=3.0, v_on=2.5, v_off=1.5)

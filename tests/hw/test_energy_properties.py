@@ -77,25 +77,3 @@ def test_charge_saturates_at_v_max(cap, power_mw, duration_us):
     assert cap.voltage <= cap.v_max + 1e-12
     # monotone, never creates energy
     assert -1e-9 <= gained <= offered + 1e-9
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    cap=caps,
-    power_mw=st.floats(min_value=0.1, max_value=20.0),
-    target_frac=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_time_to_reach_inverts_charge(cap, power_mw, target_frac):
-    """Charging for exactly ``time_to_reach_us`` lands on the target."""
-    cap.voltage = cap.v_off
-    target_v = cap.v_off + target_frac * (cap.v_max - cap.v_off)
-    t = cap.time_to_reach_us(target_v, power_mw)
-    assert t >= 0.0 and math.isfinite(t)
-    cap.charge(power_mw, t)
-    assert cap.voltage >= target_v - 1e-9
-
-
-def test_time_to_reach_is_infinite_without_harvest():
-    cap = Capacitor(capacitance_f=4.7e-6)
-    cap.voltage = cap.v_off
-    assert math.isinf(cap.time_to_reach_us(cap.v_on, 0.0))

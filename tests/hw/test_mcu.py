@@ -49,7 +49,7 @@ class TestMachine:
         m = build_machine(seed=0)
         assert m.space.region("fram").volatile is False
         assert "temp" in m.peripherals
-        assert m.capacitor.is_on
+        assert m.dma.transfer_count == 0 and m.lea.invocations == 0
         assert m.now_us == 0.0
 
     def test_allocators_target_their_regions(self):

@@ -146,8 +146,8 @@ class TestGate:
 
     def test_perf_speedup_drop_fails(self):
         doc = _bench_doc(
-            ("r1", {"b": {"wall_s": 1.0, "fastpath": 3.0, "vm": 8.0}}),
-            ("r2", {"b": {"wall_s": 1.0, "fastpath": 3.1, "vm": 4.0}}),
+            ("r1", {"b": {"wall_s": 1.0, "vm": 8.0}}),
+            ("r2", {"b": {"wall_s": 1.0, "vm": 4.0}}),
         )
         problems = gate_problems([], doc, max_drop_pct=30.0)
         assert len(problems) == 1
@@ -155,14 +155,14 @@ class TestGate:
 
     def test_perf_single_entry_is_green(self):
         doc = _bench_doc(
-            ("r1", {"b": {"wall_s": 1.0, "fastpath": 3.0, "vm": 8.0}}),
+            ("r1", {"b": {"wall_s": 1.0, "vm": 8.0}}),
         )
         assert gate_problems([], doc) == []
 
     def test_quick_and_full_entries_do_not_mix(self):
         doc = _bench_doc(
-            ("r1", {"b": {"fastpath": 10.0}}),
-            ("r2", {"b": {"fastpath": 3.0}}),
+            ("r1", {"b": {"vm": 10.0}}),
+            ("r2", {"b": {"vm": 3.0}}),
         )
         doc["history"][0]["quick"] = True  # quick baselines don't gate full
         assert gate_problems([], doc, max_drop_pct=30.0) == []

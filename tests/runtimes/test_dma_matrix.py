@@ -8,26 +8,14 @@ skipped after a failure, and what the destination holds at the end.
 
 import pytest
 
-from repro import fastpath
 from repro.core.api import ProgramBuilder
 from repro.core.run import nv_state, run_program
 from repro.ir import ast as A
 from repro.kernel.power import NoFailures, ScriptedFailures
 
+# the DMA endpoint matrix is semantics-critical: run it on both paths
+pytestmark = pytest.mark.usefixtures("sim_path")
 
-@pytest.fixture(
-    scope="module",
-    params=[True, False],
-    ids=["fastpath", "reference"],
-    autouse=True,
-)
-def sim_path(request):
-    # the DMA endpoint matrix is semantics-critical: run it on both
-    # the memoized fast path and the from-scratch reference path
-    prev = fastpath.enabled()
-    fastpath.set_enabled(request.param)
-    yield request.param
-    fastpath.set_enabled(prev)
 
 STORAGES = {
     "nv": lambda b, name: b.nv_array(name, 4, init=[9, 8, 7, 6])

@@ -1,6 +1,6 @@
 """The store's cache-soundness contract, pinned across the full matrix.
 
-For every evaluation app x runtime — on the fast path and the
+For every evaluation app x runtime — on the VM path and the
 reference path — a campaign run three ways must be indistinguishable:
 
 * **storeless** — plain simulation, no store configured;
@@ -16,25 +16,13 @@ modulo wall-clock fields.  This is the contract that makes it safe for
 
 import pytest
 
-from repro import fastpath
 from repro.apps import APPS
 from repro.check import CampaignConfig, run_campaign
 
 RUNTIMES = ("alpaca", "ink", "samoyed", "easeio")
 LIMIT = 4  # boundaries per campaign: keeps the full matrix affordable
 
-
-@pytest.fixture(
-    scope="module",
-    params=[True, False],
-    ids=["fastpath", "reference"],
-    autouse=True,
-)
-def sim_path(request):
-    prev = fastpath.enabled()
-    fastpath.set_enabled(request.param)
-    yield request.param
-    fastpath.set_enabled(prev)
+pytestmark = pytest.mark.usefixtures("sim_path")
 
 
 def _config(app, runtime, store_dir=None):

@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from repro import fastpath
 from repro.serve.store import (
     ResultStore,
     campaign_digest,
@@ -17,6 +16,7 @@ from repro.serve.store import (
     program_digest,
     unit_key,
 )
+from tests.conftest import on_sim_path
 
 
 class TestCanonicalDigests:
@@ -39,14 +39,10 @@ class TestCanonicalDigests:
         )
 
     def test_unit_key_folds_in_the_fastpath_flag(self):
-        prev = fastpath.enabled()
-        try:
-            fastpath.set_enabled(True)
+        with on_sim_path("vm"):
             on = unit_key("check-unit", program="p")
-            fastpath.set_enabled(False)
+        with on_sim_path("reference"):
             off = unit_key("check-unit", program="p")
-        finally:
-            fastpath.set_enabled(prev)
         assert on != off
 
 
@@ -54,14 +50,10 @@ class TestProgramDigest:
     def test_stable_across_fastpath_modes(self):
         # both simulation paths build the identical IR, so the program
         # identity half of the key must not depend on the switch
-        prev = fastpath.enabled()
-        try:
-            fastpath.set_enabled(True)
+        with on_sim_path("vm"):
             on = program_digest("fir")
-            fastpath.set_enabled(False)
+        with on_sim_path("reference"):
             off = program_digest("fir")
-        finally:
-            fastpath.set_enabled(prev)
         assert on == off
 
     def test_distinguishes_apps(self):

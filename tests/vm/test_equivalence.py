@@ -1,59 +1,54 @@
-"""Three-path observational equivalence across the full matrix.
+"""VM ≡ reference: observational equivalence across the full matrix.
 
-The VM is the third execution path behind the ``repro.fastpath``
-switch, and its acceptance bar is the same one the memoization layer
+The compiled VM is the default execution path and the reference
+interpreter its oracle; the acceptance bar is the one the compile cache
 had to clear (see ``tests/core/test_compile_cache.py``): byte-identical
 observable behaviour.  Every evaluated app on every runtime must
 produce the same metrics, the same trace event stream, the same final
-NV memory image and the same differential-checker verdicts whether it
-runs on the reference interpreter, the fast path, or compiled
-bytecode.  A divergence here means the compiler changed semantics, not
+NV memory image and the same differential-checker verdicts on both
+paths.  A divergence here means the compiler changed semantics, not
 just speed.
+
+Every VM cell must also have *run bytecode*: :func:`repro.vm.lower`
+returns ``None`` on anything it cannot compile and the executor then
+quietly runs the generator, which would let the matrix pass without
+exercising the VM at all.
 """
 
 import pytest
 
-from repro import fastpath
 from repro.check import CampaignConfig, run_campaign
 from repro.core.run import run_app
 from repro.kernel.power import UniformFailureModel
+from repro.obs import metrics as M
+from tests.conftest import on_sim_path
 
 APPS = ("uni_dma", "uni_temp", "uni_lea", "fir", "weather")
 RUNTIMES = ("easeio", "alpaca", "ink", "samoyed")
 
-#: (id, fastpath enabled, vm enabled)
-PATHS = (
-    ("reference", False, False),
-    ("fastpath", True, False),
-    ("vm", True, True),
-)
 
+def _observe(app, runtime, recycled=False):
+    """(bytecode attached?, everything a run exposes).
 
-def _with_path(enabled, vm, fn):
-    was_fast = fastpath.enabled()
-    was_vm = fastpath.vm_enabled()
-    fastpath.set_enabled(enabled)
-    fastpath.set_vm_enabled(vm)
-    fastpath.clear_caches()
-    try:
-        return fn()
-    finally:
-        fastpath.set_enabled(was_fast)
-        fastpath.set_vm_enabled(was_vm)
-        fastpath.clear_caches()
-
-
-def _observe(app, runtime):
-    """Everything a run exposes: metrics, full trace, NV image."""
+    ``recycled`` observes a pooled runtime whose machine already ran a
+    different schedule: reset plus cached bytecode must replay exactly
+    what a fresh machine does.
+    """
+    if recycled:
+        run_app(
+            app, runtime=runtime, seed=1, reuse_machine=True,
+            failure_model=UniformFailureModel(5, 20, seed=9),
+        )
     res = run_app(
         app,
         runtime=runtime,
         failure_model=UniformFailureModel(5, 20, seed=3),
         seed=1,
+        reuse_machine=recycled,
     )
     rt = res.runtime
     fram = rt.machine.space.region("fram")
-    return {
+    return getattr(rt, "_vm", None) is not None, {
         "completed": res.completed,
         "metrics": dict(sorted(res.metrics.__dict__.items())),
         "trace": tuple(
@@ -67,28 +62,36 @@ def _observe(app, runtime):
 @pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("app", APPS)
 def test_three_paths_observationally_identical(app, runtime):
-    runs = {
-        name: _with_path(enabled, vm, lambda: _observe(app, runtime))
-        for name, enabled, vm in PATHS
-    }
-    assert runs["fastpath"] == runs["reference"]
-    assert runs["vm"] == runs["reference"]
+    """Reference, VM on a fresh machine, VM on a recycled pooled one."""
+    with on_sim_path("reference"):
+        ref_bytecode, reference = _observe(app, runtime)
+    with on_sim_path("vm"):
+        fresh_bytecode, fresh = _observe(app, runtime)
+        pooled_bytecode, pooled = _observe(app, runtime, recycled=True)
+    assert not ref_bytecode
+    assert fresh_bytecode and pooled_bytecode, "vm path fell back"
+    assert fresh == reference
+    assert pooled == reference
 
 
 def _verdict(app, runtime):
-    report = run_campaign(CampaignConfig(
-        app=app, runtime=runtime, limit=25, shrink=False,
-    ))
-    return (report.ok, dict(report.by_kind), report.n_runs,
-            report.total_violations)
+    """(verdict, runs, runs executed as bytecode) of a small campaign."""
+    with M.collecting() as reg:
+        report = run_campaign(CampaignConfig(
+            app=app, runtime=runtime, limit=25, shrink=False,
+        ))
+    verdict = (report.ok, dict(report.by_kind), report.n_runs,
+               report.total_violations)
+    return verdict, reg.counters.get("runs", 0), reg.counters.get("vm.runs", 0)
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("app", APPS)
 def test_checker_verdicts_identical_on_all_paths(app, runtime):
-    verdicts = {
-        name: _with_path(enabled, vm, lambda: _verdict(app, runtime))
-        for name, enabled, vm in PATHS
-    }
-    assert verdicts["fastpath"] == verdicts["reference"]
-    assert verdicts["vm"] == verdicts["reference"]
+    with on_sim_path("reference"):
+        reference, _, ref_vm_runs = _verdict(app, runtime)
+    with on_sim_path("vm"):
+        vm, runs, vm_runs = _verdict(app, runtime)
+    assert ref_vm_runs == 0
+    assert runs > 0 and vm_runs == runs, "vm campaign ran the generator"
+    assert vm == reference

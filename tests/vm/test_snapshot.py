@@ -10,23 +10,16 @@ restoring the snapshot must replay the identical suffix a second time.
 
 import pytest
 
-from repro import fastpath
 from repro.core.compile import compile_app, instantiate
 from repro.core.run import build_machine
 from repro.vm.machine import DISPATCH_PC, HALT
+from tests.conftest import on_sim_path
 
 
 @pytest.fixture()
 def vm_path():
-    was_fast = fastpath.enabled()
-    was_vm = fastpath.vm_enabled()
-    fastpath.set_enabled(True)
-    fastpath.set_vm_enabled(True)
-    fastpath.clear_caches()
-    yield
-    fastpath.set_enabled(was_fast)
-    fastpath.set_vm_enabled(was_vm)
-    fastpath.clear_caches()
+    with on_sim_path("vm"):
+        yield
 
 
 def _fresh_vm(app="fir", runtime="easeio", seed=1):
@@ -48,9 +41,9 @@ def test_vm_attaches_only_when_enabled(vm_path):
     assert vm.pc == DISPATCH_PC
     assert len(vm.vmcode) > 0
     assert vm.vmcode.runtime_name == "easeio"
-    fastpath.set_vm_enabled(False)
-    compiled = compile_app("fir", "easeio")
-    rt = instantiate(compiled, build_machine(seed=1))
+    with on_sim_path("reference"):
+        compiled = compile_app("fir", "easeio")
+        rt = instantiate(compiled, build_machine(seed=1))
     assert getattr(rt, "_vm", None) is None
 
 
