@@ -41,9 +41,10 @@ then *emerge* from a harvest source charging a capacitor against the
 workload's own draw, instead of (for ``check``: in addition to) being
 injected by a timer.
 
-``check`` and ``fuzz`` campaigns shut down gracefully on SIGINT or
-SIGTERM: the worker pool drains in-flight schedules, a partial report
-is printed, and — with ``--checkpoint`` — the journal makes the
+``check``, ``fuzz`` and ``env sweep`` campaigns shut down gracefully
+on SIGINT or SIGTERM (one runner, :func:`repro.serve.kinds.run_cli`,
+serves all three): the worker pool drains in-flight units, a partial
+report is printed, and — with ``--checkpoint`` — the journal makes the
 remainder resumable by re-running the same command (exit status 130).
 
 Examples::
@@ -217,35 +218,12 @@ def _activate_series(path) -> None:
         obs_series.activate(path)
 
 
-def _graceful_signals() -> None:
-    """Turn SIGTERM into KeyboardInterrupt so pools drain cleanly."""
-    import signal
-
-    def _raise(signum, frame):
-        raise KeyboardInterrupt
-
-    try:
-        signal.signal(signal.SIGTERM, _raise)
-    except ValueError:  # pragma: no cover - non-main thread
-        pass
-
-
-def _emit_report(report, as_json: bool) -> None:
-    import json
-
-    if as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.render_text())
-
-
 def _cmd_check(args) -> int:
-    from repro.check import CampaignConfig, run_campaign
     from repro.check.campaign import resolve_workers
-    from repro.errors import CampaignInterrupted
+    from repro.serve.kinds import campaign_kind, run_cli
 
-    _graceful_signals()
-    cfg = CampaignConfig(
+    kind = campaign_kind("check")
+    cfg = kind.config(
         app=args.app,
         runtime=args.runtime,
         mode=args.mode,
@@ -264,18 +242,7 @@ def _cmd_check(args) -> int:
         checkpoint=args.checkpoint,
     )
     _activate_series(args.series)
-    try:
-        report = run_campaign(cfg)
-    except CampaignInterrupted as exc:
-        if exc.report is not None:
-            _emit_report(exc.report, args.json)
-        print(f"check: interrupted after {exc.done}/{exc.total} runs"
-              + (f"; resume with --checkpoint {args.checkpoint}"
-                 if args.checkpoint else ""),
-              file=sys.stderr)
-        return 130
-    _emit_report(report, args.json)
-    return 0 if report.ok else 1
+    return run_cli(kind, cfg, as_json=args.json)
 
 
 def _add_fuzz_parser(sub) -> None:
@@ -325,13 +292,10 @@ def _add_fuzz_parser(sub) -> None:
 
 
 def _cmd_fuzz(args) -> int:
-    import json
+    from repro.serve.kinds import campaign_kind, run_cli
 
-    from repro.errors import CampaignInterrupted
-    from repro.fuzz import FuzzConfig, fuzz_run
-
-    _graceful_signals()
-    cfg = FuzzConfig(
+    kind = campaign_kind("fuzz")
+    cfg = kind.config(
         runs=args.runs,
         seed=args.seed,
         workers=max(1, args.workers),
@@ -351,29 +315,7 @@ def _cmd_fuzz(args) -> int:
         checkpoint=args.checkpoint,
     )
     _activate_series(args.series)
-    try:
-        report = fuzz_run(cfg)
-    except CampaignInterrupted as exc:
-        if exc.report is not None:
-            if args.output:
-                with open(args.output, "w") as fh:
-                    json.dump(exc.report.to_json(), fh, indent=2)
-                    fh.write("\n")
-            _emit_report(exc.report, args.json)
-        print(f"fuzz: interrupted after {exc.done}/{exc.total} programs"
-              + (f"; resume with --checkpoint {args.checkpoint}"
-                 if args.checkpoint else ""),
-              file=sys.stderr)
-        return 130
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.render_text())
-    return 0 if report.ok else 1
+    return run_cli(kind, cfg, as_json=args.json, output=args.output)
 
 
 def _cmd_lint(args) -> int:

@@ -1,17 +1,18 @@
-"""Campaign runner: fan the injected runs out and fold verdicts in.
+"""The ``check`` campaign kind: fan the injected runs out, fold verdicts in.
 
-The fan-out itself runs on the serve layer's
-:class:`~repro.serve.scheduler.BatchScheduler`: each worker process
-receives the shared context (config + oracle + site table) once
-through the pool initializer, then checks schedules independently — a
-run is built, executed, and diffed entirely inside the worker, so the
-only traffic is the schedule in and the (small, JSON-encoded) verdict
-out.  ``workers=1`` runs inline, which keeps single-process debugging
-(pdb, coverage) trivial and is what the test suite uses.  With
-``store_dir`` set, per-schedule verdicts are content-addressed
-(:func:`check_unit_key`) and cache hits short-circuit simulation; with
-``checkpoint`` set, an interrupted campaign re-run under the same
-config resumes exactly where it died.
+The fan-out runs on the one campaign driver
+(:func:`repro.serve.kinds.run_kind`): :func:`context` builds what
+every schedule is judged against (config + oracle + site table),
+:func:`units` lists the schedules, and :func:`run_unit` builds, executes
+and diffs one run against that context — handed to it as an argument,
+so a pool worker, a fleet worker and an inline run all compute the
+same verdict with no shared state.  The only traffic is the schedule
+in and the (small, JSON-encoded) verdict out.  ``workers=1`` runs
+inline, which keeps single-process debugging (pdb, coverage) trivial
+and is what the test suite uses.  With ``store_dir`` set, per-schedule
+verdicts are content-addressed (:func:`check_unit_key`) and cache hits
+short-circuit simulation; with ``checkpoint`` set, an interrupted
+campaign re-run under the same config resumes exactly where it died.
 
 After the fan-out, the first failing schedule of each violation kind
 is delta-debugged (:mod:`repro.check.shrink`) to a minimal reproducer
@@ -29,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 from repro import fastpath
 from repro.check import inject
 from repro.env.spec import describe_env
-from repro.errors import CampaignInterrupted, ReproError
 from repro.core.compile import compile_app, _options_key
 from repro.check.diff import DEFAULT_ATOMICITY_WINDOW_US, diff_run
 from repro.check.model import RunVerdict, Schedule, Violation
@@ -39,8 +39,8 @@ from repro.check.shrink import ddmin
 from repro.ir.lint import LINT_VERSION
 from repro.ir.semantics import SEMANTICS_VERSION
 from repro.obs.campaign import CampaignTelemetry
-from repro.serve.scheduler import BatchScheduler, WorkUnit
-from repro.serve.store import ResultStore, campaign_digest, program_digest, unit_key
+from repro.serve.kinds import CampaignKind, run_kind
+from repro.serve.store import campaign_digest, program_digest, unit_key
 
 
 @dataclass
@@ -81,33 +81,13 @@ class CampaignConfig:
     checkpoint: Optional[str] = None
 
 
-# shared per-process context: (config, oracle); populated by the pool
-# initializer (or directly for inline runs)
-_CTX: Optional[tuple] = None
+#: what every schedule of one campaign runs against: (config, oracle)
+Context = Tuple[CampaignConfig, Oracle]
 
 
-def _init_worker(ctx: tuple) -> None:
-    global _CTX
-    _CTX = ctx
-    # warm this worker's compilation cache once, so the first schedule
-    # it draws doesn't pay the compile (forked workers inherit the
-    # parent's warm cache; spawned ones start cold without this)
-    cfg = ctx[0]
-    try:
-        compile_app(
-            cfg.app,
-            cfg.runtime,
-            build_kwargs=cfg.build_kwargs,
-            transform_options=cfg.transform_options,
-        )
-    except Exception:  # pragma: no cover - campaign surfaces it later
-        pass
-
-
-def _check_schedule(schedule: Schedule) -> RunVerdict:
-    """Run + judge one schedule (executes inside a worker)."""
-    assert _CTX is not None, "worker context not initialized"
-    cfg, oracle = _CTX
+def _check_schedule(ctx: Context, schedule: Schedule) -> RunVerdict:
+    """Run + judge one schedule against the campaign context."""
+    cfg, oracle = ctx
     result, error = inject.run_schedule(
         cfg.app,
         cfg.runtime,
@@ -141,13 +121,9 @@ def _check_schedule(schedule: Schedule) -> RunVerdict:
     )
 
 
-def _encode_verdict(verdict: RunVerdict) -> Dict[str, object]:
-    """JSON-safe wire/store form of a verdict (runs inside workers)."""
-    return verdict.to_json()
-
-
-def _decode_verdict(doc: Dict[str, object]) -> RunVerdict:
-    return RunVerdict.from_json(doc)
+def run_unit(ctx: Context, schedule) -> Dict[str, object]:
+    """One schedule's verdict in its JSON-safe wire/store form."""
+    return _check_schedule(ctx, tuple(schedule)).to_json()
 
 
 def _verdict_counters(verdict: RunVerdict) -> Dict[str, int]:
@@ -276,7 +252,7 @@ def build_schedules(cfg: CampaignConfig, oracle: Oracle) -> List[Schedule]:
 
 
 def _shrink_reproducers(
-    cfg: CampaignConfig,
+    ctx: Context,
     verdicts: List[RunVerdict],
     telemetry: Optional[CampaignTelemetry] = None,
 ) -> Dict[str, Schedule]:
@@ -294,37 +270,37 @@ def _shrink_reproducers(
             def reproduces(candidate: Schedule, _kind: str = kind) -> bool:
                 if telemetry is not None:
                     telemetry.note_shrink_eval()
-                v = _check_schedule(candidate)
+                v = _check_schedule(ctx, candidate)
                 return any(x.kind == _kind for x in v.violations)
 
             minimal[kind] = ddmin(violation.schedule, reproduces)
     return minimal
 
 
-def run_campaign(
-    cfg: CampaignConfig,
-    cancel: Optional[threading.Event] = None,
-    telemetry: Optional[CampaignTelemetry] = None,
-    series=None,
-    events=None,
-    fleet=None,
-) -> CampaignReport:
-    """Execute one full checking campaign and fold up the report.
-
-    ``cancel`` (job layer) and SIGINT/SIGTERM (CLI) both stop the
-    campaign gracefully: in-flight work drains, the checkpoint is
-    flushed, and the raised :class:`~repro.errors.CampaignInterrupted`
-    carries a partial, resumable report in ``.report``.  ``telemetry``
-    lets a caller watch live progress; by default the campaign makes
-    its own.
-    """
-    oracle = build_oracle(
+def context(cfg: CampaignConfig) -> Context:
+    """The config and the continuous-power oracle every run is judged by."""
+    # compile the cell up front: the oracle, the probe and every forked
+    # pool worker then reuse this one artifact
+    compile_app(
+        cfg.app,
+        cfg.runtime,
+        build_kwargs=cfg.build_kwargs,
+        transform_options=cfg.transform_options,
+    )
+    return cfg, build_oracle(
         cfg.app,
         cfg.runtime,
         env_seed=cfg.env_seed,
         build_kwargs=cfg.build_kwargs,
         transform_options=cfg.transform_options,
     )
+
+
+def units(
+    cfg: CampaignConfig, ctx: Context
+) -> Tuple[List[Schedule], List[str]]:
+    """The campaign's schedules and its report notes."""
+    oracle = ctx[1]
     schedules = build_schedules(cfg, oracle)
     notes: List[str] = list(oracle.notes)
     if cfg.mode == "exhaustive" and cfg.limit:
@@ -343,97 +319,26 @@ def run_campaign(
             f"energy environment {cfg.env!r}: injected resets compose with "
             "emergent brown-outs; the oracle remains continuous-power"
         )
+    return schedules, notes
 
-    ctx = (cfg, oracle)
-    _init_worker(ctx)  # parent also needs the context (shrinking)
-    total = len(schedules)
-    if telemetry is None:
-        telemetry = CampaignTelemetry(
-            f"check {cfg.app}/{cfg.runtime}",
-            total,
-            every=25,
-            progress=cfg.progress,
-        )
 
-    store = (
-        ResultStore(cfg.store_dir, backend=cfg.store_backend)
-        if cfg.store_dir else None
-    )
-    # verdicts come back re-slotted by schedule index whatever the
-    # worker timing: the minimal-reproducer pass picks the *first*
-    # failing schedule per violation kind, which must be deterministic
-    scheduler = BatchScheduler(
-        workers=cfg.workers,
-        store=store,
-        checkpoint_path=cfg.checkpoint,
-        campaign=check_campaign_digest(cfg),
-        telemetry=telemetry,
-        cancel=cancel,
-        series=series,
-        events=events,
-        fleet=fleet,
-    )
-    units = [
-        WorkUnit(
-            index=i,
-            payload=schedule,
-            key=check_unit_key(cfg, schedule) if store is not None else "",
-        )
-        for i, schedule in enumerate(schedules)
-    ]
-
-    oracle_summary = {
-        "duration_ms": oracle.duration_us / 1000.0,
-        "io_execs": oracle.n_io,
-        "dma_execs": oracle.n_dma,
-        "effects": len(oracle.effects),
-        "deterministic": oracle.deterministic,
-        "conditional_io": oracle.conditional_io,
-        "env_seed": oracle.env_seed,
-        "result_vars": list(oracle.result_vars),
-    }
-    config = describe_config(cfg)
-
-    try:
-        verdicts = scheduler.run(
-            units,
-            task=_check_schedule,
-            initializer=_init_worker,
-            initargs=(ctx,),
-            encode=_encode_verdict,
-            decode=_decode_verdict,
-            counters=_verdict_counters,
-        )
-    except CampaignInterrupted as exc:
-        done = [exc.results[i] for i in sorted(exc.results)]
-        exc.report = summarize(
-            app=cfg.app,
-            runtime=cfg.runtime,
-            mode=cfg.mode,
-            workers=cfg.workers,
-            verdicts=done,
-            minimal={},
-            oracle_summary=oracle_summary,
-            elapsed_s=telemetry.elapsed_s,
-            notes=notes + [
-                f"interrupted: {exc.done}/{exc.total} schedules checked"
-                + (
-                    f"; resumable via checkpoint {cfg.checkpoint}"
-                    if cfg.checkpoint else ""
-                )
-            ],
-            telemetry=telemetry,
-            config=config,
-            partial=True,
-        )
-        raise
-
+def fold(
+    cfg: CampaignConfig,
+    ctx: Context,
+    verdicts: List[RunVerdict],
+    telemetry: CampaignTelemetry,
+    notes: List[str],
+    stats: Dict[str, int],
+    partial: bool,
+) -> CampaignReport:
+    """Shrink the failing schedules (not after an interrupt), summarize."""
+    oracle = ctx[1]
     minimal = (
-        _shrink_reproducers(cfg, verdicts, telemetry) if cfg.shrink else {}
+        _shrink_reproducers(ctx, verdicts, telemetry)
+        if cfg.shrink and not partial else {}
     )
     if minimal:
         verdicts = [_attach_minimal(v, minimal) for v in verdicts]
-
     return summarize(
         app=cfg.app,
         runtime=cfg.runtime,
@@ -441,11 +346,21 @@ def run_campaign(
         workers=cfg.workers,
         verdicts=verdicts,
         minimal=minimal,
-        oracle_summary=oracle_summary,
+        oracle_summary={
+            "duration_ms": oracle.duration_us / 1000.0,
+            "io_execs": oracle.n_io,
+            "dma_execs": oracle.n_dma,
+            "effects": len(oracle.effects),
+            "deterministic": oracle.deterministic,
+            "conditional_io": oracle.conditional_io,
+            "env_seed": oracle.env_seed,
+            "result_vars": list(oracle.result_vars),
+        },
         elapsed_s=telemetry.elapsed_s,
         notes=notes,
         telemetry=telemetry,
-        config=config,
+        config=describe_config(cfg),
+        partial=partial,
     )
 
 
@@ -461,3 +376,41 @@ def _attach_minimal(
         for v in verdict.violations
     )
     return replace(verdict, violations=patched)
+
+
+CHECK = CampaignKind(
+    name="check",
+    config=CampaignConfig,
+    report=CampaignReport,
+    digest=check_campaign_digest,
+    unit_key=check_unit_key,
+    context=context,
+    units=units,
+    run_unit=run_unit,
+    counters=_verdict_counters,
+    fold=fold,
+    describe_config=describe_config,
+    label=lambda cfg: f"check {cfg.app}/{cfg.runtime}",
+    noun="schedules",
+    every=25,
+    decode=RunVerdict.from_json,
+)
+
+
+def run_campaign(
+    cfg: CampaignConfig,
+    cancel: Optional[threading.Event] = None,
+    telemetry: Optional[CampaignTelemetry] = None,
+    series=None,
+    events=None,
+    fleet=None,
+) -> CampaignReport:
+    """Execute one full checking campaign and fold up the report.
+
+    Runs on :func:`repro.serve.kinds.run_kind`, which documents
+    ``cancel``, ``telemetry`` and interruption.
+    """
+    return run_kind(
+        CHECK, cfg, cancel=cancel, telemetry=telemetry, series=series,
+        events=events, fleet=fleet,
+    )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.check.model import RunVerdict, Schedule, Violation
@@ -71,6 +71,20 @@ class CampaignReport:
             "partial": self.partial,
             "notes": list(self.notes),
         }
+
+    @classmethod
+    def from_json(cls, doc: Dict[str, object]) -> "CampaignReport":
+        """Rebuild a report from its :meth:`to_json` form (lossless)."""
+        doc = dict(
+            doc,
+            violations=[Violation.from_json(v) for v in doc["violations"]],
+            minimal={
+                kind: tuple(sched)
+                for kind, sched in doc["minimal_schedules"].items()
+            },
+            oracle_summary=doc["oracle"],
+        )
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
     def render_text(self) -> str:
         lines: List[str] = []

@@ -13,7 +13,10 @@ Subcommands:
 ``sweep``
     run a grid of environments x apps x runtimes as one serve-backed
     campaign: content-addressed (re-runs are warm cache hits),
-    sharded across workers, checkpoint-resumable after SIGINT.
+    sharded across workers, checkpoint-resumable after SIGINT or
+    SIGTERM (exit 130 with a partial report, like ``check``); its
+    ``--json`` report re-submits to a daemon or a fleet with
+    ``serve submit --from-report``.
 
 Examples::
 
@@ -27,14 +30,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.apps import APPS
 from repro.core.run import run_app
 from repro.env.spec import parse_env
 from repro.env.trace import load_trace, read_trace, write_trace
-from repro.errors import CampaignInterrupted, NonTermination, ReproError
+from repro.errors import NonTermination, ReproError
 
 _RUNTIMES = ("alpaca", "ink", "samoyed", "easeio")
 
@@ -124,9 +126,10 @@ def _csv(value: str):
 
 
 def _cmd_sweep(args) -> int:
-    from repro.env.sweep import SweepConfig, run_sweep
+    from repro.serve.kinds import campaign_kind, run_cli
 
-    cfg = SweepConfig(
+    kind = campaign_kind("env-sweep")
+    cfg = kind.config(
         envs=_csv(args.envs) if args.envs else (),
         count=args.count,
         seed=args.seed,
@@ -148,23 +151,7 @@ def _cmd_sweep(args) -> int:
             raise ReproError(
                 f"unknown runtime {runtime!r}; choose from {sorted(_RUNTIMES)}"
             )
-    try:
-        report = run_sweep(cfg)
-    except CampaignInterrupted as exc:
-        if exc.report is not None:
-            print(exc.report.render_text())
-        print(
-            f"env sweep: interrupted after {exc.done}/{exc.total} units"
-            + (f"; resume with --checkpoint {args.checkpoint}"
-               if args.checkpoint else ""),
-            file=sys.stderr,
-        )
-        return 130
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.render_text())
-    return 0 if report.ok else 1
+    return run_cli(kind, cfg, as_json=args.json)
 
 
 def main(argv=None) -> int:

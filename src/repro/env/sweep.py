@@ -1,11 +1,12 @@
 """Environment sweep: many energy environments as one serve campaign.
 
 A sweep runs every (environment, app, runtime) combination as one
-work unit on the serve layer's
-:class:`~repro.serve.scheduler.BatchScheduler` — content-addressed
+work unit of the ``env-sweep`` campaign kind, on the one campaign
+driver (:func:`repro.serve.kinds.run_kind`) — content-addressed
 (:func:`sweep_unit_key`, so re-running the same sweep is 100% warm
-cache hits), shardable across worker processes, and resumable from a
-checkpoint journal keyed by the sweep's campaign identity.
+cache hits), shardable across worker processes or a fleet, servable
+as a daemon job, and resumable from a checkpoint journal keyed by the
+sweep's campaign identity.
 
 Each unit executes the app once under its environment and summarizes
 the emergent failure behaviour (failure count and a digest of the
@@ -23,24 +24,18 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.run import run_app
 from repro.env.environment import EnergyEnvironment
 from repro.env.sources import TraceSource
 from repro.env.spec import describe_env, parse_env, random_env_spec
-from repro.errors import CampaignInterrupted, NonTermination
+from repro.errors import NonTermination
 from repro.hw.energy import Capacitor
 from repro.obs.campaign import CampaignTelemetry
-from repro.serve.scheduler import BatchScheduler, WorkUnit
-from repro.serve.store import (
-    ResultStore,
-    campaign_digest,
-    program_digest,
-    unit_key,
-)
+from repro.serve.kinds import CampaignKind, run_kind
+from repro.serve.store import campaign_digest, program_digest, unit_key
 
 #: default app/runtime axes of a sweep
 DEFAULT_APPS = ("uni_temp", "fir")
@@ -126,15 +121,6 @@ def sweep_campaign_digest(cfg: SweepConfig) -> str:
     )
 
 
-# shared per-process context, populated by the pool initializer
-_CTX: Optional[SweepConfig] = None
-
-
-def _init_worker(cfg: SweepConfig) -> None:
-    global _CTX
-    _CTX = cfg
-
-
 def _failures_digest(failure_times: List[float]) -> str:
     """Content digest of the exact failure instants (bit-identity)."""
     payload = json.dumps([float(t).hex() for t in failure_times])
@@ -173,10 +159,15 @@ def _replay_env(env: EnergyEnvironment, horizon_us: float) -> EnergyEnvironment:
     )
 
 
-def _sweep_unit(payload: Tuple[str, str, str]) -> Dict[str, object]:
+def units(
+    cfg: SweepConfig, ctx: SweepConfig
+) -> Tuple[List[Tuple[str, str, str]], List[str]]:
+    """The sweep's unit payloads (no report notes)."""
+    return sweep_units(cfg), []
+
+
+def run_unit(cfg: SweepConfig, payload) -> Dict[str, object]:
     """Run + summarize one unit (executes inside a worker)."""
-    assert _CTX is not None, "worker context not initialized"
-    cfg = _CTX
     spec, app, runtime = payload
     env = parse_env(spec)
     result, error = _run_once(env, app, runtime, cfg)
@@ -266,12 +257,18 @@ class SweepReport:
     def to_json(self) -> Dict[str, object]:
         return {
             "kind": "env-sweep",
+            "ok": self.ok,
             "config": dict(self.config),
             "totals": self.totals(),
             "rows": [dict(r) for r in self.rows],
             "serve": dict(self.serve),
             "elapsed_s": self.elapsed_s,
         }
+
+    @classmethod
+    def from_json(cls, doc: Dict[str, object]) -> "SweepReport":
+        """Rebuild a report from its :meth:`to_json` form (lossless)."""
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
     def render_text(self) -> str:
         t = self.totals()
@@ -313,6 +310,40 @@ def describe_config(cfg: SweepConfig) -> Dict[str, object]:
     }
 
 
+def fold(
+    cfg: SweepConfig,
+    ctx: SweepConfig,
+    rows: List[Dict[str, object]],
+    telemetry: CampaignTelemetry,
+    notes: List[str],
+    stats: Dict[str, int],
+    partial: bool,
+) -> SweepReport:
+    """The sweep report: its rows and how the scheduler satisfied them."""
+    return SweepReport(
+        config=describe_config(cfg),
+        rows=rows,
+        elapsed_s=telemetry.elapsed_s,
+        serve=dict(stats),
+    )
+
+
+SWEEP = CampaignKind(
+    name="env-sweep",
+    config=SweepConfig,
+    report=SweepReport,
+    digest=sweep_campaign_digest,
+    unit_key=sweep_unit_key,
+    context=lambda cfg: cfg,
+    units=units,
+    run_unit=run_unit,
+    counters=_unit_counters,
+    fold=fold,
+    describe_config=describe_config,
+    label=lambda cfg: "env sweep",
+)
+
+
 def run_sweep(
     cfg: SweepConfig,
     cancel: Optional[threading.Event] = None,
@@ -328,55 +359,7 @@ def run_sweep(
     resumes where it died, and with ``store_dir`` a finished sweep
     re-runs entirely from warm cache hits.
     """
-    payloads = sweep_units(cfg)
-    start = time.monotonic()
-    if telemetry is None:
-        telemetry = CampaignTelemetry(
-            "env sweep", len(payloads), every=10, progress=cfg.progress,
-        )
-    _init_worker(cfg)  # parent context (inline runs, counters)
-    store = (
-        ResultStore(cfg.store_dir, backend=cfg.store_backend)
-        if cfg.store_dir else None
-    )
-    scheduler = BatchScheduler(
-        workers=cfg.workers,
-        store=store,
-        checkpoint_path=cfg.checkpoint,
-        campaign=sweep_campaign_digest(cfg),
-        telemetry=telemetry,
-        cancel=cancel,
-        series=series,
+    return run_kind(
+        SWEEP, cfg, cancel=cancel, telemetry=telemetry, series=series,
         events=events,
-    )
-    units = [
-        WorkUnit(
-            index=i,
-            payload=payload,
-            key=sweep_unit_key(cfg, payload) if store is not None else "",
-        )
-        for i, payload in enumerate(payloads)
-    ]
-    try:
-        rows = scheduler.run(
-            units,
-            task=_sweep_unit,
-            initializer=_init_worker,
-            initargs=(cfg,),
-            counters=_unit_counters,
-        )
-    except CampaignInterrupted as exc:
-        done = [exc.results[i] for i in sorted(exc.results)]
-        exc.report = SweepReport(
-            config=describe_config(cfg),
-            rows=done,
-            elapsed_s=time.monotonic() - start,
-            serve=dict(scheduler.last_run_stats),
-        )
-        raise
-    return SweepReport(
-        config=describe_config(cfg),
-        rows=rows,
-        elapsed_s=time.monotonic() - start,
-        serve=dict(scheduler.last_run_stats),
     )

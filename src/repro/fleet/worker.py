@@ -12,15 +12,16 @@ One worker process drives this loop against a serve daemon::
             stream the encoded result back (which also renews)
         release the lease
 
-The unit-runners are exactly the functions the in-process scheduler
-pool uses (:func:`repro.check.campaign._check_schedule`,
-:func:`repro.fuzz.harness._fuzz_one`), re-initialized from the job's
-wire config — so a remotely computed verdict is byte-identical to a
-locally computed one, and the daemon's report cannot tell the
-difference.  The chunked-task discipline (run one unit, check the
-remaining lease time, renew, continue) means a worker that dies
-mid-shard loses at most the units it had not yet streamed back; the
-daemon requeues them on lease expiry and another worker re-derives
+The unit-runner is the job's campaign kind's own ``run_unit`` — the
+function the in-process scheduler pool runs — bound to a context the
+kind's ``context`` rebuilds from the job's wire config (see
+:mod:`repro.serve.kinds`), so a remotely computed result is
+byte-identical to a locally computed one, and the daemon's report
+cannot tell the difference.  Any registered kind runs here; nothing
+in this module names one.  The chunked-task discipline (run one unit,
+check the remaining lease time, renew, continue) means a worker that
+dies mid-shard loses at most the units it had not yet streamed back;
+the daemon requeues them on lease expiry and another worker re-derives
 them from the same deterministic coordinates.
 
 An optional local ``--store`` short-circuits execution for units whose
@@ -30,6 +31,7 @@ workers on one host safely share that cache read-write.
 
 from __future__ import annotations
 
+import functools
 import os
 import socket
 import threading
@@ -42,13 +44,12 @@ from repro.serve.daemon import ServeClient, ServeHTTPError
 #: renew when less than this fraction of the TTL remains
 RENEW_MARGIN = 0.5
 
-# The unit-runners read process-global context (exactly like pool
-# workers, which are one process each), and the simulation core shares
-# per-process caches — so unit execution is a process-wide critical
-# section.  One worker per process (the CLI deployment) never contends;
-# multiple FleetWorker instances in one process (tests, embedders)
-# serialize execution while leases, renewals, and streaming stay
-# concurrent.
+# The simulation core shares per-process caches (pooled runtimes whose
+# contract is sequential use) — so unit execution is a process-wide
+# critical section.  One worker per process (the CLI deployment) never
+# contends; multiple FleetWorker instances in one process (tests,
+# embedders) serialize execution while leases, renewals, and streaming
+# stay concurrent.
 _EXEC_LOCK = threading.Lock()
 _CTX_KEY: Optional[str] = None
 _CTX_TASK: Optional[Callable[[object], object]] = None
@@ -59,65 +60,21 @@ def _task_for(
 ) -> Callable[[object], object]:
     """The process's current unit-runner; call with _EXEC_LOCK held.
 
-    Re-pins the process-global campaign context when the shard in hand
-    belongs to a different campaign than the last unit executed — two
-    workers interleaving shards of different jobs must not run a unit
-    against the other job's context.
+    It maps a wire payload to the encoded (JSON-safe) unit result, as
+    the scheduler's pool workers do.  The context is rebuilt when the
+    shard in hand belongs to a different campaign than the last unit
+    executed — two workers interleaving shards of different jobs must
+    not run a unit against the other job's context.
     """
     global _CTX_KEY, _CTX_TASK
     if key != _CTX_KEY or _CTX_TASK is None:
-        _CTX_TASK = _build_context(kind, config)
+        from repro.serve.kinds import campaign_kind
+
+        campaign = campaign_kind(kind)
+        ctx = campaign.context(campaign.decode_config(config))
+        _CTX_TASK = functools.partial(campaign.run_unit, ctx)
         _CTX_KEY = key
     return _CTX_TASK
-
-
-def _build_context(
-    kind: str, config: Dict[str, object]
-) -> Callable[[object], object]:
-    """(Re)initialize this process for one campaign; returns the task.
-
-    The returned callable maps a wire payload to the *encoded*
-    (JSON-safe) unit result — the same encoding the scheduler's pool
-    workers apply before results cross the process boundary.
-    """
-    from repro.serve.api import _filter_config
-
-    if kind == "check":
-        from repro.check.campaign import (
-            CampaignConfig,
-            _check_schedule,
-            _encode_verdict,
-            _init_worker,
-        )
-        from repro.check.oracle import build_oracle
-
-        cfg = CampaignConfig(**_filter_config("check", config))
-        oracle = build_oracle(
-            cfg.app,
-            cfg.runtime,
-            env_seed=cfg.env_seed,
-            build_kwargs=cfg.build_kwargs,
-            transform_options=cfg.transform_options,
-        )
-        _init_worker((cfg, oracle))
-
-        def run_check(payload: object) -> object:
-            return _encode_verdict(
-                _check_schedule(tuple(payload))  # type: ignore[arg-type]
-            )
-
-        return run_check
-    if kind == "fuzz":
-        from repro.fuzz.harness import FuzzConfig, _fuzz_one, _init_fuzz_worker
-
-        fuzz_cfg = FuzzConfig(**_filter_config("fuzz", config))
-        _init_fuzz_worker(fuzz_cfg)
-
-        def run_fuzz(payload: object) -> object:
-            return _fuzz_one(int(payload))  # type: ignore[arg-type]
-
-        return run_fuzz
-    raise ReproError(f"fleet worker cannot run job kind {kind!r}")
 
 
 class FleetWorker:

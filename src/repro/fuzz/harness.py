@@ -18,12 +18,13 @@ the campaign's own ddmin pass, and — when a corpus directory is
 configured — persists the whole reproducer as a JSON corpus entry
 that ``tests/fuzz/test_corpus.py`` replays as an ordinary pytest case.
 
-Parallel fuzzing (``workers > 1``) follows the campaign runner's
-determinism discipline: per-index results stream back unordered but
-are re-slotted by index (missing slots are a hard error, never a
-silent drop), and the shrink/corpus phase walks them in index order in
-the parent — so a fixed seed yields the same report and the same
-corpus regardless of worker count.
+Parallel fuzzing (``workers > 1``) runs on the one campaign driver
+(:func:`repro.serve.kinds.run_kind`) like every campaign kind:
+per-index results stream back unordered but are re-slotted by index
+(missing slots are a hard error, never a silent drop), and the
+shrink/corpus phase walks them in index order in the parent — so a
+fixed seed yields the same report and the same corpus regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro import fastpath
@@ -39,7 +40,6 @@ from repro.check import CampaignConfig, run_campaign
 from repro.check.model import VIOLATION_KINDS
 from repro.core.compile import evict
 from repro.env.spec import describe_env, random_env_spec
-from repro.errors import CampaignInterrupted
 from repro.fuzz.gen import generate_valid_spec
 from repro.fuzz.shrink import shrink_spec
 from repro.fuzz.spec import count_statements, spec_to_json
@@ -49,8 +49,8 @@ from repro.ir.semantics import SEMANTICS_VERSION
 # tests and corpus tooling import it from the harness
 from repro.obs import series as obs_series
 from repro.obs.campaign import BUG_CLASSES, CampaignTelemetry
-from repro.serve.scheduler import BatchScheduler, WorkUnit
-from repro.serve.store import ResultStore, campaign_digest, unit_key
+from repro.serve.kinds import CampaignKind, run_kind
+from repro.serve.store import campaign_digest, unit_key
 
 DEFAULT_RUNTIMES: Tuple[str, ...] = ("easeio", "alpaca", "ink", "samoyed")
 
@@ -145,6 +145,12 @@ class FuzzReport:
             "telemetry": dict(self.telemetry),
             "notes": list(self.notes),
         }
+
+    @classmethod
+    def from_json(cls, doc: Dict[str, object]) -> "FuzzReport":
+        """Rebuild a report from its :meth:`to_json` form (lossless)."""
+        doc = dict(doc, runtimes=tuple(doc["runtimes"]))
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
     def render_text(self) -> str:
         lines = [
@@ -283,15 +289,6 @@ def check_spec(
     return out
 
 
-# shared config for pool workers (same pattern as repro.check.campaign)
-_FCFG: Optional[FuzzConfig] = None
-
-
-def _init_fuzz_worker(cfg: FuzzConfig) -> None:
-    global _FCFG
-    _FCFG = cfg
-
-
 def describe_config(cfg: FuzzConfig) -> Dict[str, object]:
     """The run's full replayable configuration (report block)."""
     return {
@@ -348,10 +345,14 @@ def fuzz_unit_key(cfg: FuzzConfig, index: int) -> str:
     )
 
 
-def _fuzz_one(index: int) -> Dict:
+def units(cfg: FuzzConfig, ctx: FuzzConfig) -> Tuple[List[int], List[str]]:
+    """The run's program indices (no report notes)."""
+    return list(range(max(0, cfg.runs))), []
+
+
+def run_unit(cfg: FuzzConfig, index) -> Dict:
     """Generate and check program ``index`` (runs inside a worker)."""
-    assert _FCFG is not None, "fuzz worker context not initialized"
-    cfg = _FCFG
+    index = int(index)
     spec = generate_valid_spec(cfg.seed, index)
     env = resolve_fuzz_env(cfg, index)
     runtimes = check_spec(spec, cfg, env=env)
@@ -490,86 +491,14 @@ def _program_counters(summary: Dict) -> Dict[str, int]:
     return counters
 
 
-def fuzz_run(
+def fold(
     cfg: FuzzConfig,
-    cancel: Optional[threading.Event] = None,
-    telemetry: Optional[CampaignTelemetry] = None,
-    series=None,
-    events=None,
-    fleet=None,
-) -> FuzzReport:
-    """Execute one full fuzzing run and fold up the report.
-
-    Like :func:`repro.check.campaign.run_campaign`, the fan-out runs on
-    the serve scheduler: ``cancel``/SIGINT drain gracefully and raise
-    :class:`~repro.errors.CampaignInterrupted` with a partial,
-    resumable report attached; ``store_dir``/``checkpoint`` make
-    per-program summaries cacheable and the run resumable.
-    """
-    _init_fuzz_worker(cfg)
-    total = max(0, cfg.runs)
-    if telemetry is None:
-        telemetry = CampaignTelemetry(
-            "fuzz", total, every=10, progress=cfg.progress
-        )
-
-    store = (
-        ResultStore(cfg.store_dir, backend=cfg.store_backend)
-        if cfg.store_dir else None
-    )
-    scheduler = BatchScheduler(
-        workers=max(1, cfg.workers),
-        store=store,
-        checkpoint_path=cfg.checkpoint,
-        campaign=fuzz_campaign_digest(cfg),
-        telemetry=telemetry,
-        cancel=cancel,
-        series=series,
-        events=events,
-        fleet=fleet,
-    )
-    units = [
-        WorkUnit(
-            index=index,
-            payload=index,
-            key=fuzz_unit_key(cfg, index) if store is not None else "",
-        )
-        for index in range(total)
-    ]
-    config = describe_config(cfg)
-
-    try:
-        summaries: List[Dict] = scheduler.run(
-            units,
-            task=_fuzz_one,
-            initializer=_init_fuzz_worker,
-            initargs=(cfg,),
-            counters=_program_counters,
-        )
-    except CampaignInterrupted as exc:
-        done = [exc.results[i] for i in sorted(exc.results)]
-        exc.report = _fold_report(
-            cfg, done, telemetry, config,
-            partial=True,
-            extra_notes=[
-                f"interrupted: {exc.done}/{exc.total} programs checked"
-                + (
-                    f"; resumable via checkpoint {cfg.checkpoint}"
-                    if cfg.checkpoint else ""
-                )
-            ],
-        )
-        raise
-    return _fold_report(cfg, summaries, telemetry, config)
-
-
-def _fold_report(
-    cfg: FuzzConfig,
+    ctx: FuzzConfig,
     summaries: List[Dict],
     telemetry: CampaignTelemetry,
-    config: Dict[str, object],
-    partial: bool = False,
-    extra_notes: Optional[List[str]] = None,
+    notes: List[str],
+    stats: Dict[str, int],
+    partial: bool,
 ) -> FuzzReport:
     """Aggregate per-program summaries into the run report."""
     total = max(0, cfg.runs)
@@ -612,7 +541,7 @@ def _fold_report(
                 if cls in bug_classes_found and not bug_classes_found[cls]:
                     bug_classes_found[cls] = f"{runtime}:{kind}"
 
-    notes: List[str] = list(extra_notes or [])
+    notes = list(notes)
     if cfg.corpus_dir and reproducers:
         paths = _persist_corpus(reproducers, cfg.corpus_dir)
         notes.append(f"corpus: wrote {len(paths)} entries to {cfg.corpus_dir}")
@@ -649,7 +578,7 @@ def _fold_report(
         telemetry=telemetry.to_json(
             by_kind=merged_by_kind, n_runs=len(summaries)
         ),
-        config=config,
+        config=describe_config(cfg),
         partial=partial,
     )
 
@@ -659,3 +588,43 @@ def _kind_order(kind: str) -> int:
         return VIOLATION_KINDS.index(kind)
     except ValueError:
         return len(VIOLATION_KINDS)
+
+
+FUZZ = CampaignKind(
+    name="fuzz",
+    config=FuzzConfig,
+    report=FuzzReport,
+    digest=fuzz_campaign_digest,
+    unit_key=fuzz_unit_key,
+    context=lambda cfg: cfg,
+    units=units,
+    run_unit=run_unit,
+    counters=_program_counters,
+    fold=fold,
+    describe_config=describe_config,
+    label=lambda cfg: "fuzz",
+    noun="programs",
+)
+
+
+def fuzz_run(
+    cfg: FuzzConfig,
+    cancel: Optional[threading.Event] = None,
+    telemetry: Optional[CampaignTelemetry] = None,
+    series=None,
+    events=None,
+    fleet=None,
+) -> FuzzReport:
+    """Execute one full fuzzing run and fold up the report.
+
+    Runs on :func:`repro.serve.kinds.run_kind`, like
+    :func:`repro.check.campaign.run_campaign`: ``cancel``/SIGINT drain
+    gracefully and raise :class:`~repro.errors.CampaignInterrupted`
+    with a partial, resumable report attached; ``store_dir`` and
+    ``checkpoint`` make per-program summaries cacheable and the run
+    resumable.
+    """
+    return run_kind(
+        FUZZ, cfg, cancel=cancel, telemetry=telemetry, series=series,
+        events=events, fleet=fleet,
+    )

@@ -17,8 +17,12 @@ unit is re-simulated.  This package makes campaign work *durable* and
     unit, resumes an interrupted campaign exactly where it died, and
     drains cleanly on SIGINT/SIGTERM/cancel;
 
+:mod:`repro.serve.kinds`
+    the campaign kinds (check, fuzz, env sweep), one registry, and the
+    one driver and CLI runner every kind runs through;
+
 :mod:`repro.serve.api`
-    the job layer: submit check/fuzz campaigns as asynchronous batch
+    the job layer: submit campaigns of any kind as asynchronous batch
     jobs, poll live telemetry, fetch reports, cancel, resume;
 
 :mod:`repro.serve.daemon`
@@ -27,11 +31,6 @@ unit is re-simulated.  This package makes campaign work *durable* and
 
 :mod:`repro.serve.cli`
     ``python -m repro serve {start,submit,status,results,cancel,gc}``.
-
-The checking campaign (:mod:`repro.check.campaign`) and the fuzz
-harness (:mod:`repro.fuzz.harness`) run on the scheduler; their public
-APIs and report formats are unchanged — the serve layer slots in
-underneath via the ``store_dir``/``checkpoint`` config fields.
 """
 
 from repro.serve.scheduler import BatchScheduler, WorkUnit

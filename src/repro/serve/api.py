@@ -1,6 +1,7 @@
 """The job layer: campaigns as asynchronous, durable batch jobs.
 
-A *job* is one check or fuzz campaign submitted for background
+A *job* is one campaign of any registered kind (``check``, ``fuzz``,
+``env-sweep``; see :mod:`repro.serve.kinds`) submitted for background
 execution.  The :class:`JobManager` owns a service root directory::
 
     <root>/
@@ -13,10 +14,15 @@ execution.  The :class:`JobManager` owns a service root directory::
                                   deduped point per finished campaign)
 
 Submission returns immediately; each job runs on a background thread
-(bounded by ``max_parallel_jobs``) through the ordinary campaign
-drivers, which in turn run on the serve scheduler with the shared
-store and a per-campaign checkpoint.  That composition is what makes
-jobs restartable: checkpoints are keyed by *campaign identity* (a
+through the one campaign driver (:func:`~repro.serve.kinds.run_kind`),
+on the serve scheduler with the shared store and a per-campaign
+checkpoint.  Jobs run one at a time: a job without ``fleet`` simulates
+in the daemon's own process, and the simulation core's pooled
+runtimes (:func:`repro.core.compile.runtime_for`) are only safe for
+sequential use — two such jobs at once computed, and cached, wrong
+verdicts.  Under the GIL they never ran in parallel anyway.
+
+Jobs are restartable: checkpoints are keyed by *campaign identity* (a
 digest of everything the work-unit set depends on), so killing the
 daemon and resubmitting the same configuration — by hand, or with
 ``repro serve submit --from-report`` — resumes exactly where the dead
@@ -39,44 +45,20 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.check.campaign import (
-    CampaignConfig,
-    check_campaign_digest,
-    run_campaign,
-)
 from repro.errors import CampaignInterrupted, ReproError
 from repro.fleet.leases import DEFAULT_MAX_UNITS, DEFAULT_TTL_S, LeaseBoard
-from repro.fuzz.harness import FuzzConfig, fuzz_campaign_digest, fuzz_run
 from repro.obs.campaign import CampaignTelemetry
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.series import SeriesStore, aggregate
+from repro.serve.kinds import campaign_kind, run_kind
 from repro.serve.store import ResultStore
 
 #: terminal job states
 FINISHED_STATES = ("done", "failed", "cancelled", "interrupted")
 
-_CHECK_FIELDS = {f.name for f in dataclasses.fields(CampaignConfig)}
-_FUZZ_FIELDS = {f.name for f in dataclasses.fields(FuzzConfig)}
-
 
 class UnknownJob(ReproError):
     """No job with that id in this service root."""
-
-
-def _filter_config(kind: str, config: Dict[str, object]) -> Dict[str, object]:
-    """Keep only constructor fields of the campaign config dataclass.
-
-    Reports embed extra provenance (``kind``, ``fastpath``,
-    ``semantics_version``...) in their config blocks; re-submission
-    must not trip over those.
-    """
-    allowed = _CHECK_FIELDS if kind == "check" else _FUZZ_FIELDS
-    out = {k: v for k, v in config.items() if k in allowed}
-    for key in ("runtimes", "envs"):
-        value = out.get(key)
-        if isinstance(value, list):
-            out[key] = tuple(value)
-    return out
 
 
 @dataclass
@@ -84,7 +66,7 @@ class Job:
     """One submitted campaign and its lifecycle state."""
 
     id: str
-    kind: str                      # "check" | "fuzz"
+    kind: str                      # a registered campaign kind
     config: Dict[str, object]
     fleet: bool = False            # execute via leased remote workers
     state: str = "queued"
@@ -124,7 +106,6 @@ class JobManager:
         root: str,
         store_dir: Optional[str] = None,
         store_backend: Optional[str] = None,
-        max_parallel_jobs: int = 1,
         fleet_ttl_s: Optional[float] = None,
         fleet_max_units: Optional[int] = None,
     ) -> None:
@@ -152,7 +133,8 @@ class JobManager:
         #: telemetry — the long-lived half of ``GET /metrics``
         self.registry = MetricsRegistry()
         self.started_at = time.time()
-        self._slots = threading.Semaphore(max(1, max_parallel_jobs))
+        #: held by the running job: jobs run one at a time (module doc)
+        self._running = threading.Lock()
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._recover()
@@ -238,21 +220,19 @@ class JobManager:
         self, kind: str, config: Dict[str, object], fleet: bool = False
     ) -> Dict[str, object]:
         """Queue one campaign job; returns its record immediately."""
-        if kind not in ("check", "fuzz"):
-            raise ReproError(f"unknown job kind {kind!r}")
-        config = _filter_config(kind, dict(config))
+        campaign_kind(kind)  # an unknown kind is a bad request, not a job
         job = Job(
             id=uuid.uuid4().hex[:12],
             kind=kind,
-            config=config,
+            config=dict(config),
             fleet=bool(fleet),
             submitted_at=time.time(),
         )
         with self._lock:
             self._jobs[job.id] = job
-        # build the config (and campaign digest) synchronously so the
-        # submit reply already carries the campaign identity; a config
-        # the drivers would reject becomes a failed job right away
+        # decode the config (and digest it) synchronously so the submit
+        # reply already carries the campaign identity; a config the
+        # kind rejects becomes a failed job right away
         try:
             job.cfg = self._build_config(job)
         except Exception as exc:  # noqa: BLE001 - job boundary
@@ -281,7 +261,7 @@ class JobManager:
     ) -> Dict[str, object]:
         """Re-submit the campaign a report embeds (replayability).
 
-        Any check/fuzz JSON report carries its full configuration in
+        Any campaign's JSON report carries its full configuration in
         ``config`` (seed, runtimes, workers, fastpath mode,
         semantics/lint version); this turns that block back into a job,
         verbatim, modulo explicit ``overrides``.
@@ -300,13 +280,13 @@ class JobManager:
     # -- execution --------------------------------------------------------
 
     def _build_config(self, job: Job):
-        checkpointed = dict(job.config)
-        if job.kind == "check":
-            cfg = CampaignConfig(**checkpointed)
-            job.campaign = check_campaign_digest(cfg)
-        else:
-            cfg = FuzzConfig(**checkpointed)
-            job.campaign = fuzz_campaign_digest(cfg)
+        kind = campaign_kind(job.kind)
+        cfg = kind.decode_config(job.config)
+        # the job record and the fleet's wire config keep the config
+        # fields only, not the provenance a report's config block adds
+        fields = {f.name for f in dataclasses.fields(cfg)}
+        job.config = {k: v for k, v in job.config.items() if k in fields}
+        job.campaign = kind.digest(cfg)
         # the serve layer supplies durability; a submitted config's own
         # store/checkpoint paths (e.g. from a standalone CLI run's
         # report) are superseded by the service root's
@@ -322,22 +302,19 @@ class JobManager:
         return cfg
 
     def _run_job(self, job: Job) -> None:
-        with self._slots:
+        with self._running:
             if job.cancel.is_set():
                 job.state = "cancelled"
                 job.finished_at = time.time()
                 self._log_event(job, "finish", {"state": job.state})
                 self._persist(job)
                 return
+            kind = campaign_kind(job.kind)
             job.state = "running"
             job.started_at = time.time()
-            stable = (
-                f"check {job.cfg.app}/{job.cfg.runtime}"
-                if job.kind == "check" else "fuzz"
-            )
             job.telemetry = CampaignTelemetry(
                 f"{job.kind} job {job.id}", 0, progress=False,
-                series_label=stable,
+                series_label=kind.label(job.cfg),
             )
             self._log_event(
                 job, "lease", {"campaign": job.campaign, "kind": job.kind}
@@ -352,19 +329,11 @@ class JobManager:
                 if job.fleet else None
             )
             try:
-                cfg = job.cfg
-                if job.kind == "check":
-                    report = run_campaign(
-                        cfg, cancel=job.cancel, telemetry=job.telemetry,
-                        series=self.series, events=events,
-                        fleet=fleet_handle,
-                    )
-                else:
-                    report = fuzz_run(
-                        cfg, cancel=job.cancel, telemetry=job.telemetry,
-                        series=self.series, events=events,
-                        fleet=fleet_handle,
-                    )
+                report = run_kind(
+                    kind, job.cfg, cancel=job.cancel,
+                    telemetry=job.telemetry, series=self.series,
+                    events=events, fleet=fleet_handle,
+                )
                 self._persist_report(job, report.to_json())
                 job.state = "done"
             except CampaignInterrupted as exc:

@@ -3,7 +3,7 @@
 Subcommands::
 
     serve start    run the daemon in the foreground (SIGINT/SIGTERM drain)
-    serve submit   submit a check/fuzz campaign (flags or --from-report)
+    serve submit   submit a campaign of any kind (flags or --from-report)
     serve status   show one job, or all jobs
     serve results  fetch a finished job's report (JSON or rendered text)
     serve cancel   gracefully stop a running job (checkpoint survives)
@@ -15,6 +15,7 @@ Examples::
     python -m repro serve submit check --app fir --runtime easeio \\
         --mode random --runs 50 --wait
     python -m repro serve submit --from-report report.json --wait
+    python -m repro serve submit --from-report env-sweep.json --fleet
     python -m repro serve status
     python -m repro serve results <job-id>
     python -m repro serve gc --max-entries 10000
@@ -23,6 +24,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Dict, List, Optional
@@ -35,6 +37,7 @@ from repro.serve.daemon import (
     make_server,
     run_daemon,
 )
+from repro.serve.kinds import campaign_kind, kinds
 
 _RUNTIMES = ("alpaca", "ink", "samoyed", "easeio")
 
@@ -62,7 +65,6 @@ def _cmd_start(args) -> int:
         port=args.port,
         store_dir=args.store,
         store_backend=args.store_backend,
-        max_parallel_jobs=args.max_parallel_jobs,
         fleet_ttl_s=args.fleet_ttl,
         fleet_max_units=args.fleet_max_units,
         verbose=args.verbose,
@@ -75,36 +77,30 @@ def _cmd_start(args) -> int:
 # -- submit ----------------------------------------------------------------
 
 
-def _check_config(args) -> Dict[str, object]:
-    config: Dict[str, object] = {
+def _flag_config(args, kind: str) -> Dict[str, object]:
+    """The submit flags that name fields of ``kind``'s config.
+
+    Flags left unset (``None``) keep the config's own default.
+    """
+    flags: Dict[str, object] = {
         "app": args.app,
         "runtime": args.runtime,
         "mode": args.mode,
+        "workers": args.workers,
         "env_seed": args.env_seed,
         "seed": args.seed,
         "runs": args.runs,
         "failures_per_run": args.failures_per_run,
-        "trace_events": not args.no_events,
-        "shrink": not args.no_shrink,
-    }
-    if args.workers is not None:
-        config["workers"] = args.workers
-    if args.limit is not None:
-        config["limit"] = args.limit
-    return config
-
-
-def _fuzz_config(args) -> Dict[str, object]:
-    return {
-        "runs": args.runs,
-        "seed": args.seed,
-        "workers": max(1, args.workers or 1),
+        "limit": args.limit,
         "runtimes": [
             rt.strip() for rt in args.runtimes.split(",") if rt.strip()
         ],
-        "limit": args.limit if args.limit is not None else 24,
-        "env_seed": args.env_seed,
+        "trace_events": not args.no_events,
         "shrink": not args.no_shrink,
+    }
+    fields = {f.name for f in dataclasses.fields(campaign_kind(kind).config)}
+    return {
+        k: v for k, v in flags.items() if k in fields and v is not None
     }
 
 
@@ -122,7 +118,7 @@ def _cmd_submit(args) -> int:
             )
     elif args.kind:
         kind = args.kind
-        config = _check_config(args) if kind == "check" else _fuzz_config(args)
+        config = _flag_config(args, kind)
     else:
         raise ReproError("submit needs a campaign kind or --from-report")
     job = client.submit(kind, config, fleet=args.fleet)
@@ -182,41 +178,12 @@ def _print_results(client: ServeClient, job_id: str, as_json: bool) -> int:
 
 
 def _render_report(report: Dict[str, object]) -> Optional[str]:
-    """Re-render a JSON report as text via the owning report type."""
-    kind = (report.get("config") or {}).get("kind")  # type: ignore[union-attr]
+    """Re-render a JSON report as text via its kind's report type."""
     try:
-        if kind == "check" or "minimal_schedules" in report:
-            from repro.check.model import Violation
-            from repro.check.report import CampaignReport
-
-            return CampaignReport(
-                app=str(report["app"]),
-                runtime=str(report["runtime"]),
-                mode=str(report["mode"]),
-                workers=int(report["workers"]),
-                check_level=str(report["check_level"]),
-                n_runs=int(report["n_runs"]),
-                n_failures_injected=int(report["n_failures_injected"]),
-                n_violating_runs=int(report["n_violating_runs"]),
-                by_kind=dict(report["by_kind"]),
-                violations=[
-                    Violation.from_json(v) for v in report["violations"]
-                ],
-                total_violations=int(report["total_violations"]),
-                minimal={
-                    kind_: tuple(sched)
-                    for kind_, sched in report["minimal_schedules"].items()
-                },
-                oracle_summary=dict(report["oracle"]),
-                elapsed_s=float(report["elapsed_s"]),
-                notes=list(report["notes"]),
-                telemetry=dict(report.get("telemetry") or {}),
-                config=dict(report.get("config") or {}),
-                partial=bool(report.get("partial")),
-            ).render_text()
-    except (KeyError, TypeError, ValueError):
+        kind = campaign_kind(str(report["config"]["kind"]))
+        return kind.report.from_json(report).render_text()
+    except (ReproError, KeyError, TypeError, ValueError):
         return None
-    return None
 
 
 def _cmd_results(args) -> int:
@@ -261,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["fs", "sqlite"],
                    help="store layout (default: sniff the directory, "
                         "else $REPRO_STORE_BACKEND, else fs)")
-    p.add_argument("--max-parallel-jobs", type=int, default=1,
-                   help="campaigns running concurrently (default 1)")
     p.add_argument("--fleet-ttl", type=float, default=None,
                    help="fleet lease TTL in seconds (default 30)")
     p.add_argument("--fleet-max-units", type=int, default=None,
@@ -275,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("submit", help="submit a campaign job")
     _add_common(p)
-    p.add_argument("kind", nargs="?", choices=["check", "fuzz"],
-                   help="campaign kind (omit with --from-report)")
+    p.add_argument("kind", nargs="?",
+                   help="campaign kind: " + ", ".join(sorted(kinds()))
+                        + " (omit with --from-report)")
     p.add_argument("--from-report", default=None, metavar="FILE",
                    help="re-submit the campaign embedded in a JSON report")
     p.add_argument("--app", default="fir")

@@ -5,7 +5,12 @@ A thin JSON-over-HTTP surface on ``http.server.ThreadingHTTPServer``
 background threads via :class:`~repro.serve.api.JobManager`::
 
     GET  /healthz                   liveness + service root
-    POST /v1/jobs                   {"kind": "check"|"fuzz", "config": {...}}
+    POST /v1/jobs                   {"kind": K, "config": {...}, "fleet": bool}
+                                    K: a registered campaign kind (check,
+                                    fuzz, env-sweep); a report's config
+                                    block works as config, an unknown
+                                    field fails the job at submit; jobs
+                                    run one at a time
     GET  /v1/jobs                   all job records
     GET  /v1/jobs/<id>              one job record (live progress)
     GET  /v1/jobs/<id>/results      the report (409 until one exists)
@@ -279,7 +284,6 @@ def make_server(
     port: int = DEFAULT_PORT,
     store_dir: Optional[str] = None,
     store_backend: Optional[str] = None,
-    max_parallel_jobs: int = 1,
     fleet_ttl_s: Optional[float] = None,
     fleet_max_units: Optional[int] = None,
     verbose: bool = False,
@@ -289,7 +293,6 @@ def make_server(
         root,
         store_dir=store_dir,
         store_backend=store_backend,
-        max_parallel_jobs=max_parallel_jobs,
         fleet_ttl_s=fleet_ttl_s,
         fleet_max_units=fleet_max_units,
     )

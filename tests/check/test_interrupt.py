@@ -1,10 +1,11 @@
-"""Graceful campaign interruption (SIGINT) and checkpoint resumption.
+"""Graceful campaign interruption (SIGINT/SIGTERM) and checkpoint resumption.
 
 Drives the real CLI in a subprocess, interrupts it mid-campaign with
-the scripted signal a terminal Ctrl-C would deliver, and asserts the
-contract: nonzero exit, a partial report on stdout, a resumable
-checkpoint on disk — and a resumed run whose final report matches an
-uninterrupted one.
+the scripted signal a terminal Ctrl-C (or a service manager's SIGTERM)
+would deliver, and asserts the contract: exit status 130, a partial
+report on stdout, a resumable checkpoint on disk — and a resumed run
+whose final report matches an uninterrupted one.  Every campaign CLI
+shares one runner, so each is one input of the same test body.
 """
 
 import json
@@ -17,6 +18,7 @@ import time
 import pytest
 
 from repro.check import CampaignConfig, run_campaign
+from repro.env.sweep import SweepConfig, run_sweep
 
 pytestmark = pytest.mark.skipif(
     os.name != "posix", reason="POSIX signals required"
@@ -27,6 +29,8 @@ CONFIG = [
     "uni_temp", "--runtime", "easeio", "--mode", "random",
     "--runs", str(RUNS), "--workers", "1", "--seed", "17", "--no-shrink",
 ]
+SWEEP_COUNT = 400
+SWEEP = ["--count", str(SWEEP_COUNT), "--seed", "17", "--apps", "uni_temp"]
 
 
 def _env():
@@ -37,12 +41,12 @@ def _env():
     return env
 
 
-def _check_cli(tmp_path, *extra):
+def _cli(tmp_path, *command):
     return [
-        sys.executable, "-m", "repro", "check", *CONFIG,
+        sys.executable, "-m", "repro", *command,
         "--checkpoint", str(tmp_path / "campaign.jsonl"),
         "--store", str(tmp_path / "store"),
-        "--json", *extra,
+        "--json",
     ]
 
 
@@ -57,39 +61,61 @@ def _fingerprint(report):
     )
 
 
+def _interrupt_and_resume(tmp_path, command, sig):
+    """Interrupt ``command`` with ``sig`` once it has journaled some
+    units, check the partial report, resume; the final report."""
+    ckpt = tmp_path / "campaign.jsonl"
+    proc = subprocess.Popen(
+        _cli(tmp_path, *command), env=_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    # wait for real progress (journal lines beyond the header),
+    # then deliver the scripted interrupt
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        try:
+            with open(ckpt) as fh:
+                if len(fh.read().splitlines()) >= 6:
+                    break
+        except FileNotFoundError:
+            pass
+        if proc.poll() is not None:
+            break
+        time.sleep(0.02)
+    if proc.poll() is not None:
+        pytest.skip("campaign finished before the interrupt landed")
+    proc.send_signal(sig)
+    out, err = proc.communicate(timeout=120)
+
+    # contract: clean nonzero exit, not a traceback
+    assert proc.returncode == 130, err
+    assert "Traceback" not in err
+    assert "interrupted after" in err
+    assert "resume with --checkpoint" in err
+
+    # a partial report made it to stdout
+    partial = json.loads(out)
+
+    # the checkpoint survives and is resumable
+    assert ckpt.exists()
+    header = json.loads(ckpt.read_text().splitlines()[0])
+
+    # resume: the same command runs to completion
+    done = subprocess.run(
+        _cli(tmp_path, *command), env=_env(),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert not ckpt.exists()  # journal deleted on completion
+    return partial, header["total"], json.loads(done.stdout)
+
+
 class TestScriptedInterrupt:
     def test_sigint_drains_checkpoints_and_resumes(self, tmp_path):
-        ckpt = tmp_path / "campaign.jsonl"
-        proc = subprocess.Popen(
-            _check_cli(tmp_path), env=_env(),
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        partial, total, final = _interrupt_and_resume(
+            tmp_path, ["check", *CONFIG], signal.SIGINT
         )
-        # wait for real progress (journal lines beyond the header),
-        # then deliver the scripted interrupt
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            try:
-                with open(ckpt) as fh:
-                    if len(fh.read().splitlines()) >= 6:
-                        break
-            except FileNotFoundError:
-                pass
-            if proc.poll() is not None:
-                break
-            time.sleep(0.02)
-        if proc.poll() is not None:
-            pytest.skip("campaign finished before the interrupt landed")
-        proc.send_signal(signal.SIGINT)
-        out, err = proc.communicate(timeout=120)
-
-        # contract: clean nonzero exit, not a traceback
-        assert proc.returncode == 130, err
-        assert "Traceback" not in err
-        assert "interrupted after" in err
-        assert "resume with --checkpoint" in err
-
-        # a partial report made it to stdout
-        partial = json.loads(out)
+        assert total == RUNS
         assert partial["partial"] is True
         assert partial["ok"] is False
         assert 0 < partial["n_runs"] < RUNS
@@ -98,25 +124,12 @@ class TestScriptedInterrupt:
         assert partial["config"]["kind"] == "check"
         assert partial["config"]["runs"] == RUNS
 
-        # the checkpoint survives and is resumable
-        assert ckpt.exists()
-        header = json.loads(ckpt.read_text().splitlines()[0])
-        assert header["total"] == RUNS
-
-        # resume: the same command runs to completion
-        done = subprocess.run(
-            _check_cli(tmp_path), env=_env(),
-            capture_output=True, text=True, timeout=600,
-        )
-        assert done.returncode == 0, done.stderr
-        final = json.loads(done.stdout)
         assert final["partial"] is False
         assert final["n_runs"] == RUNS
         restored = final["telemetry"]["counters"].get(
             "serve.checkpoint_restored", 0
         )
         assert restored >= partial["n_runs"]
-        assert not ckpt.exists()  # journal deleted on completion
 
         # the resumed report matches a fresh uninterrupted run
         reference = run_campaign(CampaignConfig(
@@ -124,6 +137,23 @@ class TestScriptedInterrupt:
             runs=RUNS, workers=1, seed=17, shrink=False,
         ))
         assert _fingerprint(final) == _fingerprint(reference.to_json())
+
+    def test_sigterm_drains_an_env_sweep_and_resumes(self, tmp_path):
+        partial, total, final = _interrupt_and_resume(
+            tmp_path, ["env", "sweep", *SWEEP], signal.SIGTERM
+        )
+        assert total == SWEEP_COUNT
+        assert 0 < len(partial["rows"]) < SWEEP_COUNT
+        assert partial["config"]["kind"] == "env-sweep"
+
+        assert len(final["rows"]) == SWEEP_COUNT
+        assert final["serve"]["checkpoint_restored"] >= len(partial["rows"])
+
+        # the resumed report matches a fresh uninterrupted run
+        reference = run_sweep(SweepConfig(
+            count=SWEEP_COUNT, seed=17, apps=("uni_temp",),
+        ))
+        assert final["rows"] == reference.to_json()["rows"]
 
 
 class TestInProcessCancel:

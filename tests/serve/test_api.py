@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.check import CampaignConfig, run_campaign
 from repro.errors import ReproError
 from repro.serve.api import JobManager, UnknownJob
 from repro.serve.daemon import ServeClient, ServeHTTPError, make_server
@@ -53,6 +54,39 @@ class TestJobLifecycle:
         job = manager.submit("check", {"app": "no_such_app", "workers": 1})
         assert job["state"] == "failed"
         assert "no_such_app" in job["error"]
+
+    @pytest.mark.parametrize("kind, config, field", [
+        ("check", dict(SMALL_CHECK, limt=3), "limt"),
+        ("fuzz", {"run": 2}, "run"),
+    ])
+    def test_unknown_config_field_fails_at_submit(
+        self, manager, kind, config, field
+    ):
+        job = manager.submit(kind, config)
+        assert job["state"] == "failed"
+        assert field in job["error"]
+        assert job["progress"] == {}  # nothing ran
+
+    def test_jobs_run_one_at_a_time(self, manager):
+        """Inline jobs share the process's pooled runtimes, so they must
+        not overlap; each report equals a standalone campaign's."""
+        configs = [
+            {"app": "fir", "runtime": "alpaca", "limit": 30, "workers": 1},
+            {"app": "uni_dma", "runtime": "ink", "limit": 30, "workers": 1},
+        ]
+        jobs = [manager.submit("check", config) for config in configs]
+        first, second = sorted(
+            (manager.wait(job["id"], timeout_s=120) for job in jobs),
+            key=lambda status: status["started_at"],
+        )
+        assert first["state"] == second["state"] == "done"
+        assert second["started_at"] >= first["finished_at"]
+        strip = ("elapsed_s", "telemetry")
+        for job, config in zip(jobs, configs):
+            served = manager.results(job["id"])
+            alone = run_campaign(CampaignConfig(**config)).to_json()
+            assert {k: v for k, v in served.items() if k not in strip} == \
+                   {k: v for k, v in alone.items() if k not in strip}
 
     def test_unknown_job_raises(self, manager):
         with pytest.raises(UnknownJob):
