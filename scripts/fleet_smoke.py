@@ -6,8 +6,10 @@ The full dance, against real processes:
 1. start the serve daemon (SQLite store backend, short lease TTL);
 2. start three fleet worker processes pulling shard leases over HTTP;
 3. submit a check campaign with ``--fleet`` routing;
-4. SIGKILL one worker while it holds a lease — its shard must expire
-   and requeue (typed ``expire``/``requeue`` events in the job log);
+4. SIGKILL one worker while it holds a lease (all workers are
+   SIGSTOPped while the board is read, so the lease cannot be released
+   between the check and the kill) — its shard must expire and requeue
+   (typed ``expire``/``requeue`` events in the job log);
 5. SIGTERM the daemon mid-flight, restart it on the same port, and
    resubmit: the surviving workers reconnect through their backoff
    loop and the campaign resumes from the checkpoint + store;
@@ -97,6 +99,35 @@ def wait_for(predicate, timeout_s, what):
     raise SystemExit(f"timed out after {timeout_s}s waiting for {what}")
 
 
+def kill_lease_holder(client, workers, timeout_s):
+    """SIGKILL ``workers[0]`` at a moment it holds a lease.
+
+    A worker leases a shard, runs it, then releases it, so it holds at
+    most one lease at a time.  With every worker stopped, an active
+    lease count equal to the number of workers therefore means each
+    one holds a lease, ``workers[0]`` included.  Otherwise one was
+    between leases: resume them all and look again.
+    """
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        for proc in workers:
+            proc.send_signal(signal.SIGSTOP)
+        held = client.fleet_status().get("leases_active", 0)
+        if held >= len(workers):
+            workers[0].send_signal(signal.SIGKILL)
+            for proc in workers[1:]:
+                proc.send_signal(signal.SIGCONT)
+            workers[0].wait(timeout=30)
+            return
+        for proc in workers:
+            proc.send_signal(signal.SIGCONT)
+        time.sleep(0.05)
+    raise SystemExit(
+        f"timed out after {timeout_s}s waiting for every worker to hold "
+        "a lease at once"
+    )
+
+
 def main() -> int:
     sys.path.insert(0, os.path.join(REPO, "src"))
     from repro.check import CampaignConfig, run_campaign
@@ -128,8 +159,7 @@ def main() -> int:
             raise SystemExit(
                 f"campaign outran the kill ({state}); raise CAMPAIGN['runs']"
             )
-        workers[0].send_signal(signal.SIGKILL)
-        workers[0].wait(timeout=30)
+        kill_lease_holder(client, workers, 60)
 
         print("== 4. dead worker's shard expires and requeues")
         wait_for(
@@ -185,6 +215,7 @@ def main() -> int:
     finally:
         for proc in workers:
             if proc.poll() is None:
+                proc.send_signal(signal.SIGCONT)
                 proc.terminate()
         for proc in workers:
             try:

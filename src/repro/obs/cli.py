@@ -18,8 +18,9 @@ Subcommands:
     runtime, seed, or app) and print the per-metric deltas;
 ``trends``
     rev-over-rev fleet analytics: tables and sparklines over the obs
-    series store and the ``BENCH_sim.json`` perf history; ``--gate``
-    exits nonzero when the latest rev regressed against the trend.
+    series store (campaign points per rev, ``bench perf`` points in
+    recording order); ``--gate`` exits nonzero when the latest rev
+    regressed against the trend.  The series is the only file read.
 
 Examples::
 
@@ -41,9 +42,19 @@ from repro.apps import APPS
 from repro.core.run import run_app
 from repro.kernel.executor import RunResult
 from repro.kernel.power import NoFailures, UniformFailureModel
+from repro.obs import series as obs_series
 from repro.obs.export import chrome_trace_doc, text_timeline, validate_json
 from repro.obs.metrics import RunRecorder
 from repro.obs.spans import build_spans, check_invariants
+from repro.obs.trends import (
+    MAX_DROP_PCT,
+    WINDOW,
+    gate_problems,
+    perf_points,
+    render_perf_trend,
+    render_series_trend,
+    sparkline,
+)
 
 #: repo-root schema the ``export --validate`` flag checks against
 SCHEMA_RELPATH = os.path.join("schemas", "chrome_trace.schema.json")
@@ -151,8 +162,6 @@ def _cmd_summary(args) -> int:
 
 def _summary_from_report(args) -> int:
     """Render a campaign report's telemetry block (rate timeline etc.)."""
-    from repro.obs.trends import sparkline
-
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             report = json.load(fh)
@@ -277,53 +286,29 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_trends(args) -> int:
-    from repro.obs import series as obs_series
-    from repro.obs.trends import (
-        gate_problems,
-        load_bench,
-        render_bench_trend,
-        render_series_trend,
-        series_revs,
-    )
-
     series_path = args.series or os.environ.get(obs_series.SERIES_ENV)
     points = []
     if series_path:
         points = obs_series.SeriesStore(series_path).load()
-    bench_path = args.bench
-    if bench_path is None and os.path.exists("BENCH_sim.json"):
-        bench_path = "BENCH_sim.json"
-    bench_doc = load_bench(bench_path) if bench_path else None
+    revs = obs_series.series_revs(points)
+    perf = perf_points(points)
 
     problems = []
     if args.gate:
-        problems = gate_problems(
-            points,
-            bench_doc,
-            max_drop_pct=args.max_drop,
-            min_hit_rate=args.min_hit_rate,
-            window=args.window,
-        )
+        problems = gate_problems(points, min_hit_rate=args.min_hit_rate)
 
     if args.json:
         doc = {
-            "series": {
-                "path": series_path,
-                "revs": series_revs(points),
-            },
+            "series": {"path": series_path, "revs": revs, "perf": perf},
             "analytics": obs_series.aggregate(points),
-            "bench": {
-                "path": bench_path,
-                "history": (bench_doc or {}).get("history") or [],
-            },
         }
         if args.gate:
             doc["gate"] = {"ok": not problems, "problems": problems}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(render_series_trend(series_revs(points)))
+        print(render_series_trend(revs))
         print()
-        print(render_bench_trend(bench_doc))
+        print(render_perf_trend(perf))
         if args.gate:
             print()
             if problems:
@@ -386,30 +371,23 @@ def main(argv=None) -> int:
 
     p_tr = sub.add_parser(
         "trends",
-        help="rev-over-rev fleet analytics from the obs series store "
-             "and the BENCH_sim.json perf history",
+        help="rev-over-rev fleet analytics and perf trajectory from the "
+             "obs series store",
     )
     p_tr.add_argument("--series", default=None, metavar="FILE",
                       help="obs series JSONL file (default: "
                            "$REPRO_OBS_SERIES)")
-    p_tr.add_argument("--bench", default=None, metavar="FILE",
-                      help="perf trajectory file (default: "
-                           "./BENCH_sim.json when present)")
     p_tr.add_argument("--gate", action="store_true",
                       help="exit 2 when the latest rev regressed "
-                           "against the trend (throughput/speedup drop "
-                           "> --max-drop, newly nonzero divergence "
-                           "class, hit rate below --min-hit-rate)")
-    p_tr.add_argument("--max-drop", type=float, default=30.0, metavar="PCT",
-                      help="gate: max tolerated throughput/speedup drop "
-                           "vs the best prior rev (default 30)")
+                           "against the trend (throughput or vm speedup "
+                           f"more than {MAX_DROP_PCT:g}%% below the best "
+                           f"of the prior {WINDOW}, newly nonzero "
+                           "divergence class, hit rate below "
+                           "--min-hit-rate) or the series is empty")
     p_tr.add_argument("--min-hit-rate", type=float, default=None,
                       metavar="RATE",
                       help="gate: fail when the latest rev's warm-hit "
                            "rate is below RATE (default: off)")
-    p_tr.add_argument("--window", type=int, default=10, metavar="N",
-                      help="gate: how many prior revs form the baseline "
-                           "(default 10)")
     p_tr.add_argument("--json", action="store_true",
                       help="emit trends (and the gate verdict) as JSON")
 

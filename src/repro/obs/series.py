@@ -1,12 +1,13 @@
 """Durable fleet telemetry: an append-only, content-addressed series.
 
 Campaigns and perf runs are fleeting — a report here, a
-``BENCH_sim.json`` entry there — but trend questions ("did the warm-hit
-rate fall last rev?", "when did ``timely_stale`` first show up?") need
-one durable file that every finished campaign and every perf run lands
-in.  That file is a **series store**: append-only JSONL, one *point*
-per line, living under the service root (or wherever
-``REPRO_OBS_SERIES`` points).
+``BENCH_sim.json`` snapshot there — but trend questions ("did the
+warm-hit rate fall last rev?", "when did ``timely_stale`` first show
+up?", "is the VM speedup holding?") need one durable file that every
+finished campaign and every perf run lands in.  That file is a
+**series store**: append-only JSONL, one *point* per line, living under
+the service root (or wherever ``REPRO_OBS_SERIES`` points).  It is the
+repo's only perf trajectory.
 
 Design constraints, in order:
 
@@ -324,8 +325,6 @@ def record_perf_point(
             "wall_s": bench.get("wall_s"),
             "runs_per_s": bench.get("runs_per_s"),
         }
-        if bench.get("speedup") is not None:
-            cell["speedup"] = bench["speedup"]
         if bench.get("vm_speedup") is not None:
             cell["vm_speedup"] = bench["vm_speedup"]
         benchmarks[str(bench["name"])] = cell
@@ -339,7 +338,89 @@ def record_perf_point(
     return target.record_point(point)
 
 
-# -- aggregation (the /v1/analytics backend) --------------------------------
+# -- folding and aggregation (obs trends, /v1/analytics) --------------------
+
+
+def series_revs(
+    points: Sequence[Mapping[str, object]],
+) -> List[Dict[str, object]]:
+    """Campaign points folded per rev, first-seen order preserved.
+
+    Each row carries points/units/elapsed/throughput, cache economics,
+    per-label throughput, and the summed divergence-by-class counts —
+    everything the trend table, the gate and :func:`aggregate` need.
+    """
+    order: List[str] = []
+    rows: Dict[str, Dict[str, object]] = {}
+    for p in points:
+        if p.get("kind") != "campaign":
+            continue
+        rev = str(p.get("rev", "unknown"))
+        if rev not in rows:
+            order.append(rev)
+            rows[rev] = {
+                "rev": rev,
+                "points": 0,
+                "units": 0,
+                "elapsed_s": 0.0,
+                "store_hits": 0,
+                "checkpoint_restored": 0,
+                "executed": 0,
+                "divergence": {},
+                "labels": {},
+            }
+        row = rows[rev]
+        n = int(p.get("units", 0) or 0)
+        e = float(p.get("elapsed_s", 0.0) or 0.0)
+        row["points"] = int(row["points"]) + 1
+        row["units"] = int(row["units"]) + n
+        row["elapsed_s"] = float(row["elapsed_s"]) + e
+        serve = p.get("serve") or {}
+        if isinstance(serve, Mapping):
+            for key in ("store_hits", "checkpoint_restored", "executed"):
+                row[key] = int(row[key]) + int(serve.get(key, 0) or 0)
+        div = p.get("divergence_by_class") or {}
+        if isinstance(div, Mapping):
+            dest: Dict[str, int] = row["divergence"]  # type: ignore
+            for cls, cell in div.items():
+                count = (
+                    int(cell.get("count", 0))
+                    if isinstance(cell, Mapping) else int(cell or 0)
+                )
+                dest[cls] = dest.get(cls, 0) + count
+        label = str(p.get("label", "") or "")
+        if label:
+            labels: Dict[str, Dict[str, float]] = row["labels"]  # type: ignore
+            cell = labels.setdefault(label, {"units": 0, "elapsed_s": 0.0})
+            cell["units"] += n
+            cell["elapsed_s"] += e
+    out: List[Dict[str, object]] = []
+    for rev in order:
+        row = rows[rev]
+        e = float(row["elapsed_s"])
+        row["elapsed_s"] = round(e, 4)
+        row["runs_per_s"] = (
+            round(int(row["units"]) / e, 2) if e > 0 else 0.0
+        )
+        satisfied = (
+            int(row["store_hits"]) + int(row["checkpoint_restored"])
+            + int(row["executed"])
+        )
+        row["hit_rate"] = (
+            round(
+                (int(row["store_hits"]) + int(row["checkpoint_restored"]))
+                / satisfied, 4,
+            )
+            if satisfied else 0.0
+        )
+        for cell in row["labels"].values():  # type: ignore[union-attr]
+            ce = float(cell["elapsed_s"])
+            cell["runs_per_s"] = (
+                round(cell["units"] / ce, 2) if ce > 0 else 0.0
+            )
+            cell["elapsed_s"] = round(ce, 4)
+        out.append(row)
+    return out
 
 
 def aggregate(points: Sequence[Mapping[str, object]]) -> Dict[str, object]:
@@ -348,52 +429,25 @@ def aggregate(points: Sequence[Mapping[str, object]]) -> Dict[str, object]:
     Throughput, cache economics, campaign-latency quantiles (from a
     power-of-two histogram over elapsed milliseconds), and per-rev
     breakdowns including divergence-by-class — the document behind
-    ``GET /v1/analytics`` and ``obs trends``.
+    ``GET /v1/analytics`` and ``obs trends --json``.  The per-rev and
+    cache figures come from :func:`series_revs`.
     """
     campaigns = [p for p in points if p.get("kind") == "campaign"]
     perf = [p for p in points if p.get("kind") == "perf"]
 
     units = 0
     elapsed = 0.0
-    store_hits = 0
-    executed = 0
-    restored = 0
     latency = Histogram()
-    by_rev: Dict[str, Dict[str, object]] = {}
-    div_by_rev: Dict[str, Dict[str, int]] = {}
     for p in campaigns:
-        n = int(p.get("units", 0) or 0)
         e = float(p.get("elapsed_s", 0.0) or 0.0)
-        units += n
+        units += int(p.get("units", 0) or 0)
         elapsed += e
         if e > 0:
             latency.observe(e * 1000.0)
-        serve = p.get("serve") or {}
-        if isinstance(serve, Mapping):
-            store_hits += int(serve.get("store_hits", 0) or 0)
-            executed += int(serve.get("executed", 0) or 0)
-            restored += int(serve.get("checkpoint_restored", 0) or 0)
-        rev = str(p.get("rev", "unknown"))
-        row = by_rev.setdefault(
-            rev, {"points": 0, "units": 0, "elapsed_s": 0.0}
-        )
-        row["points"] = int(row["points"]) + 1
-        row["units"] = int(row["units"]) + n
-        row["elapsed_s"] = round(float(row["elapsed_s"]) + e, 4)
-        div = p.get("divergence_by_class") or {}
-        if isinstance(div, Mapping):
-            dest = div_by_rev.setdefault(rev, {})
-            for cls, cell in div.items():
-                count = (
-                    int(cell.get("count", 0))
-                    if isinstance(cell, Mapping) else int(cell or 0)
-                )
-                dest[cls] = dest.get(cls, 0) + count
-    for row in by_rev.values():
-        e = float(row["elapsed_s"])
-        row["runs_per_s"] = (
-            round(int(row["units"]) / e, 2) if e > 0 else 0.0
-        )
+    revs = sorted(series_revs(campaigns), key=lambda row: str(row["rev"]))
+    store_hits = sum(int(r["store_hits"]) for r in revs)
+    executed = sum(int(r["executed"]) for r in revs)
+    restored = sum(int(r["checkpoint_restored"]) for r in revs)
     satisfied = store_hits + executed + restored
 
     perf_by_rev: Dict[str, Dict[str, object]] = {}
@@ -428,10 +482,18 @@ def aggregate(points: Sequence[Mapping[str, object]]) -> Dict[str, object]:
                 "mean": round(latency.mean, 3),
                 "count": latency.count,
             },
-            "by_rev": {k: by_rev[k] for k in sorted(by_rev)},
+            "by_rev": {
+                str(r["rev"]): {
+                    key: r[key]
+                    for key in ("points", "units", "elapsed_s", "runs_per_s")
+                }
+                for r in revs
+            },
             "divergence_by_class_by_rev": {
-                k: dict(sorted(div_by_rev[k].items()))
-                for k in sorted(div_by_rev)
+                str(r["rev"]): dict(
+                    sorted(r["divergence"].items())  # type: ignore
+                )
+                for r in revs
             },
         },
         "perf": {

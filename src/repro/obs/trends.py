@@ -1,33 +1,39 @@
-"""Rev-over-rev trend rendering and regression gating.
+"""Rev-over-rev trend rendering and the one regression gate.
 
 ``python -m repro obs trends`` answers the fleet-level questions one
 campaign report cannot: is campaign throughput holding across git
 revs?  Is the warm-cache hit rate where it should be?  Did a
-divergence class that used to be clean become nonzero?  Are the
-VM speedups in ``BENCH_sim.json`` drifting down?
+divergence class that used to be clean become nonzero?  Are the VM
+speedups ``bench perf`` records drifting down?
 
-Two inputs, both optional and both read-only:
+Its one input is the **obs series** (:mod:`repro.obs.series`): campaign
+points, folded per rev by :func:`~repro.obs.series.series_revs`, and
+perf points, listed in recording order.  The series is the only perf
+trajectory; ``BENCH_sim.json`` is a snapshot of one run.
 
-* the **obs series store** (``repro.obs.series``) — one point per
-  finished campaign and per perf run, grouped here by rev;
-* the **perf trajectory** in ``BENCH_sim.json`` — the ``history`` list
-  ``bench perf`` appends on every invocation.
-
-``--gate`` turns rendering into enforcement: the *latest* rev is
-compared against the best prior rev inside ``--window``, and the exit
-status is nonzero when throughput or speedups dropped more than
-``--max-drop`` percent, when a divergence class is newly nonzero, or
-when the warm-hit rate sits below ``--min-hit-rate``.  A gate with
-nothing to gate (no series, no history) also fails — silently green
-on missing data is how trend lines die.
+:func:`gate_problems` turns rendering into enforcement: the *latest*
+rev (or perf point) is compared against the best prior one inside
+:data:`WINDOW`, and the gate fails when throughput or a VM speedup
+dropped more than :data:`MAX_DROP_PCT` percent, when a divergence
+class is newly nonzero, or when the warm-hit rate sits below an
+opt-in floor.  A series with no points at all also fails — silently
+green on missing data is how trend lines die.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.obs.series import series_revs
+
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
+
+#: the gate fails on a throughput or VM-speedup drop beyond this
+#: percentage of the best prior rev
+MAX_DROP_PCT = 30.0
+
+#: how many prior revs (or perf points) form the gate's baseline
+WINDOW = 10
 
 
 def sparkline(values: Sequence[float]) -> str:
@@ -46,99 +52,17 @@ def sparkline(values: Sequence[float]) -> str:
     return "".join(out)
 
 
-def load_bench(path: str) -> Optional[Dict[str, object]]:
-    """The BENCH_sim.json document, or None when absent/corrupt."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return doc if isinstance(doc, dict) else None
-
-
-# -- series rollup (per rev, per label) -------------------------------------
-
-
-def series_revs(
+def perf_points(
     points: Sequence[Mapping[str, object]],
-) -> List[Dict[str, object]]:
-    """Campaign points folded per rev, first-seen order preserved.
+) -> List[Mapping[str, object]]:
+    """The ``bench perf`` points of a series, in recording order."""
+    return [p for p in points if p.get("kind") == "perf"]
 
-    Each row carries points/units/elapsed/throughput, cache economics,
-    per-label throughput, and the summed divergence-by-class counts —
-    everything the table renderer and the gate need.
-    """
-    order: List[str] = []
-    rows: Dict[str, Dict[str, object]] = {}
-    for p in points:
-        if p.get("kind") != "campaign":
-            continue
-        rev = str(p.get("rev", "unknown"))
-        if rev not in rows:
-            order.append(rev)
-            rows[rev] = {
-                "rev": rev,
-                "points": 0,
-                "units": 0,
-                "elapsed_s": 0.0,
-                "store_hits": 0,
-                "checkpoint_restored": 0,
-                "executed": 0,
-                "divergence": {},
-                "labels": {},
-            }
-        row = rows[rev]
-        n = int(p.get("units", 0) or 0)
-        e = float(p.get("elapsed_s", 0.0) or 0.0)
-        row["points"] = int(row["points"]) + 1
-        row["units"] = int(row["units"]) + n
-        row["elapsed_s"] = float(row["elapsed_s"]) + e
-        serve = p.get("serve") or {}
-        if isinstance(serve, Mapping):
-            for key in ("store_hits", "checkpoint_restored", "executed"):
-                row[key] = int(row[key]) + int(serve.get(key, 0) or 0)
-        div = p.get("divergence_by_class") or {}
-        if isinstance(div, Mapping):
-            dest: Dict[str, int] = row["divergence"]  # type: ignore
-            for cls, cell in div.items():
-                count = (
-                    int(cell.get("count", 0))
-                    if isinstance(cell, Mapping) else int(cell or 0)
-                )
-                dest[cls] = dest.get(cls, 0) + count
-        label = str(p.get("label", "") or "")
-        if label:
-            labels: Dict[str, Dict[str, float]] = row["labels"]  # type: ignore
-            cell = labels.setdefault(label, {"units": 0, "elapsed_s": 0.0})
-            cell["units"] += n
-            cell["elapsed_s"] += e
-    out: List[Dict[str, object]] = []
-    for rev in order:
-        row = rows[rev]
-        e = float(row["elapsed_s"])
-        row["elapsed_s"] = round(e, 4)
-        row["runs_per_s"] = (
-            round(int(row["units"]) / e, 2) if e > 0 else 0.0
-        )
-        satisfied = (
-            int(row["store_hits"]) + int(row["checkpoint_restored"])
-            + int(row["executed"])
-        )
-        row["hit_rate"] = (
-            round(
-                (int(row["store_hits"]) + int(row["checkpoint_restored"]))
-                / satisfied, 4,
-            )
-            if satisfied else 0.0
-        )
-        for cell in row["labels"].values():  # type: ignore[union-attr]
-            ce = float(cell["elapsed_s"])
-            cell["runs_per_s"] = (
-                round(cell["units"] / ce, 2) if ce > 0 else 0.0
-            )
-            cell["elapsed_s"] = round(ce, 4)
-        out.append(row)
-    return out
+
+def _vm_speedup(point: Mapping[str, object], name: str) -> Optional[float]:
+    cell = (point.get("benchmarks") or {}).get(name) or {}  # type: ignore
+    value = cell.get("vm_speedup")
+    return None if value is None else float(value)
 
 
 # -- rendering --------------------------------------------------------------
@@ -188,42 +112,31 @@ def render_series_trend(revs: List[Dict[str, object]]) -> str:
     )
 
 
-def render_bench_trend(doc: Optional[Dict[str, object]]) -> str:
-    history = (doc or {}).get("history") or []
-    if not history:
-        return "bench: no perf history recorded yet"
+def render_perf_trend(perf: Sequence[Mapping[str, object]]) -> str:
+    """The perf points as a table: rev, quick, ``vm Nx`` per benchmark."""
+    if not perf:
+        return "perf: no perf points recorded yet"
     names: List[str] = []
-    for point in history:
-        for name in point.get("speedups", {}):
+    for point in perf:
+        for name in point.get("benchmarks") or {}:  # type: ignore
             if name not in names:
                 names.append(name)
-    rows: List[List[str]] = [["rev", "date", "q"] + names]
-    for point in history:
-        row = [
-            str(point.get("rev", "?")),
-            str(point.get("date", "?")),
-            "q" if point.get("quick") else "-",
-        ]
+    rows: List[List[str]] = [["rev", "quick"] + names]
+    for point in perf:
+        row = [str(point.get("rev", "?")), "q" if point.get("quick") else "-"]
         for name in names:
-            cell = point.get("speedups", {}).get(name) or {}
-            if "vm" in cell:
-                row.append(f"vm {cell['vm']}x")
-            else:
-                row.append(f"{cell.get('wall_s', '-')}s")
+            value = _vm_speedup(point, name)
+            row.append("-" if value is None else f"vm {value}x")
         rows.append(row)
     lines = [_table(rows)]
-    if len(history) > 1:
-        for name in names:
-            vals = [
-                float(p.get("speedups", {}).get(name, {}).get("vm"))
-                for p in history
-                if p.get("speedups", {}).get(name, {}).get("vm") is not None
-            ]
-            if len(vals) > 1:
-                lines.append(
-                    f"{name} vm {sparkline(vals)} "
-                    f"({vals[0]}x -> {vals[-1]}x)"
-                )
+    for name in names:
+        vals = [
+            v for v in (_vm_speedup(p, name) for p in perf) if v is not None
+        ]
+        if len(vals) > 1:
+            lines.append(
+                f"{name} vm {sparkline(vals)} ({vals[0]}x -> {vals[-1]}x)"
+            )
     return "\n".join(lines)
 
 
@@ -238,31 +151,25 @@ def _pct_drop(latest: float, baseline: float) -> float:
 
 def gate_problems(
     points: Sequence[Mapping[str, object]],
-    bench_doc: Optional[Dict[str, object]],
-    max_drop_pct: float = 30.0,
     min_hit_rate: Optional[float] = None,
-    window: int = 10,
 ) -> List[str]:
     """Every way the latest rev regressed against the trend.
 
-    Empty list == gate passes.  Single-rev series and single-entry
-    histories have no baseline and gate nothing (first run is always
-    green); *no data at all* is itself a problem — a trend gate that
-    cannot see the trend must not pass silently.
+    Empty list == gate passes.  A single rev or a single perf point has
+    no baseline and gates nothing (the first run is always green); a
+    series with no points at all is itself a problem — a trend gate
+    that cannot see the trend must not pass silently.
     """
     problems: List[str] = []
     revs = series_revs(points)
-    history = [
-        h for h in ((bench_doc or {}).get("history") or [])
-        if isinstance(h, Mapping)
-    ]
-    if not revs and not history:
-        return ["nothing to gate: no series points and no perf history"]
+    perf = perf_points(points)
+    if not revs and not perf:
+        return ["nothing to gate: the series has no campaign or perf points"]
 
     # 1. campaign throughput per label, latest rev vs best prior rev
     if len(revs) > 1:
         latest = revs[-1]
-        prior = revs[-(window + 1):-1]
+        prior = revs[-(WINDOW + 1):-1]
         for label, cell in latest["labels"].items():  # type: ignore
             baselines = [
                 float(r["labels"][label]["runs_per_s"])  # type: ignore
@@ -274,12 +181,12 @@ def gate_problems(
                 continue
             best = max(baselines)
             drop = _pct_drop(float(cell["runs_per_s"]), best)
-            if drop > max_drop_pct:
+            if drop > MAX_DROP_PCT:
                 problems.append(
                     f"throughput regression: {label!r} at rev "
                     f"{latest['rev']} runs at {cell['runs_per_s']} runs/s, "
                     f"{drop:.1f}% below the best prior rev ({best} runs/s; "
-                    f"gate {max_drop_pct}%)"
+                    f"gate {MAX_DROP_PCT}%)"
                 )
 
         # 2. divergence classes newly nonzero in the latest rev
@@ -304,31 +211,28 @@ def gate_problems(
                 f"{latest['hit_rate']}, below the floor {min_hit_rate}"
             )
 
-    # 4. perf speedups, latest history entry vs best prior same-quick run
-    if len(history) > 1:
-        latest_h = history[-1]
-        prior_h = [
-            h for h in history[-(window + 1):-1]
-            if h.get("quick") == latest_h.get("quick")
+    # 4. VM speedups, latest perf point vs best prior same-quick point
+    if len(perf) > 1:
+        latest_p = perf[-1]
+        prior_p = [
+            p for p in perf[-(WINDOW + 1):-1]
+            if p.get("quick") == latest_p.get("quick")
         ]
-        for name, cell in (latest_h.get("speedups") or {}).items():
-            value = cell.get("vm")
-            if value is None:
-                continue
+        for name in latest_p.get("benchmarks") or {}:  # type: ignore
+            value = _vm_speedup(latest_p, name)
             baselines = [
-                float(h.get("speedups", {}).get(name, {}).get("vm"))
-                for h in prior_h
-                if h.get("speedups", {}).get(name, {}).get("vm") is not None
+                v for v in (_vm_speedup(p, name) for p in prior_p)
+                if v is not None
             ]
-            if not baselines:
+            if value is None or not baselines:
                 continue
             best = max(baselines)
-            drop = _pct_drop(float(value), best)
-            if drop > max_drop_pct:
+            drop = _pct_drop(value, best)
+            if drop > MAX_DROP_PCT:
                 problems.append(
                     f"perf regression: {name} vm speedup "
-                    f"{value}x at rev {latest_h.get('rev')}, "
+                    f"{value}x at rev {latest_p.get('rev')}, "
                     f"{drop:.1f}% below the best prior {best}x "
-                    f"(gate {max_drop_pct}%)"
+                    f"(gate {MAX_DROP_PCT}%)"
                 )
     return problems

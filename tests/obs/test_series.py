@@ -17,6 +17,7 @@ from repro.obs.series import (
     point_digest,
     record_campaign_point,
     record_perf_point,
+    series_revs,
 )
 
 SCHEMA_PATH = os.path.join(
@@ -243,7 +244,9 @@ class TestPerfSeam:
         assert point["kind"] == "perf"
         assert point["rev"] == "abc1234"
         assert point["benchmarks"]["campaign_uni_dma"]["vm_speedup"] == 8.1
-        assert "speedup" not in point["benchmarks"]["continuous_fir"]
+        # the deleted interpreter fast path's column is not carried over
+        assert "speedup" not in point["benchmarks"]["campaign_uni_dma"]
+        assert "vm_speedup" not in point["benchmarks"]["continuous_fir"]
         # same suite rerun -> same identity
         assert record_perf_point(doc, series=store) is None
 
@@ -285,6 +288,41 @@ class TestAggregate:
         }
         assert doc["perf"]["count"] == 1
         assert doc["perf"]["by_rev"]["r2"]["b"]["speedup"] == 3.0
+
+
+class TestSeriesFold:
+    def test_aggregate_per_rev_figures_are_the_series_fold(self):
+        points = [
+            {"kind": "campaign", "rev": "r2", "label": "check a",
+             "units": 7, "elapsed_s": 0.3331,
+             "serve": {"store_hits": 3, "executed": 4},
+             "divergence_by_class": {"torn_dma": {"count": 1}}},
+            {"kind": "perf", "rev": "r2",
+             "benchmarks": {"b": {"wall_s": 1.0, "vm_speedup": 8.0}}},
+            {"kind": "campaign", "rev": "r1", "label": "fuzz",
+             "units": 12, "elapsed_s": 1.1117,
+             "serve": {"checkpoint_restored": 2, "executed": 10}},
+            {"kind": "campaign", "rev": "r2", "label": "check b",
+             "units": 5, "elapsed_s": 0.2009,
+             "divergence_by_class": {"torn_dma": 2, "repeated_io": 1}},
+            {"kind": "campaign", "rev": "r3", "label": "check a",
+             "units": 0},
+        ]
+        revs = series_revs(points)
+        c = aggregate(points)["campaigns"]
+        assert c["by_rev"] == {
+            r["rev"]: {
+                key: r[key]
+                for key in ("points", "units", "elapsed_s", "runs_per_s")
+            }
+            for r in revs
+        }
+        assert c["divergence_by_class_by_rev"] == {
+            r["rev"]: r["divergence"] for r in revs
+        }
+        for key in ("store_hits", "checkpoint_restored", "executed"):
+            assert c["cache"][key] == sum(r[key] for r in revs)
+        assert list(c["by_rev"]) == ["r1", "r2", "r3"]
 
 
 class TestRateTimelinePersisted:

@@ -1,24 +1,18 @@
 """Trend rendering, the regression gate, and the obs CLI surface."""
 
 import json
-import os
 
 import pytest
 
 from repro.obs import cli as obs_cli
 from repro.obs import series as obs_series
-from repro.obs.series import SeriesStore
+from repro.obs.series import SeriesStore, series_revs
 from repro.obs.trends import (
     gate_problems,
-    render_bench_trend,
+    render_perf_trend,
     render_series_trend,
-    series_revs,
     sparkline,
 )
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__)
-)))
 
 
 @pytest.fixture(autouse=True)
@@ -46,12 +40,15 @@ def _campaign_point(rev, label, units, elapsed, hits=0, executed=None,
     }
 
 
-def _bench_doc(*entries):
-    return {"history": [
-        {"rev": rev, "date": "2026-01-01", "quick": False,
-         "speedups": speedups}
-        for rev, speedups in entries
-    ]}
+def _perf_point(rev, quick=False, **vm_speedups):
+    """A ``bench perf`` series point with these per-benchmark speedups."""
+    return {
+        "kind": "perf", "rev": rev, "label": "bench perf", "quick": quick,
+        "benchmarks": {
+            name: {"wall_s": 1.0, "vm_speedup": vm}
+            for name, vm in vm_speedups.items()
+        },
+    }
 
 
 class TestSparkline:
@@ -93,26 +90,26 @@ class TestSeriesRevs:
 
 class TestGate:
     def test_no_data_fails(self):
-        problems = gate_problems([], None)
+        problems = gate_problems([])
         assert problems and "nothing to gate" in problems[0]
 
     def test_single_rev_is_green(self):
         points = [_campaign_point("r1", "a", 10, 1.0)]
-        assert gate_problems(points, None) == []
+        assert gate_problems(points) == []
 
     def test_steady_trend_is_green(self):
         points = [
             _campaign_point("r1", "a", 10, 1.0),
             _campaign_point("r2", "a", 10, 1.05),
         ]
-        assert gate_problems(points, None, max_drop_pct=30.0) == []
+        assert gate_problems(points) == []
 
     def test_throughput_drop_fails(self):
         points = [
             _campaign_point("r1", "a", 100, 1.0),   # 100 runs/s
             _campaign_point("r2", "a", 100, 2.0),   # 50 runs/s: -50%
         ]
-        problems = gate_problems(points, None, max_drop_pct=30.0)
+        problems = gate_problems(points)
         assert len(problems) == 1
         assert "throughput regression" in problems[0]
 
@@ -124,7 +121,7 @@ class TestGate:
                             divergence={"repeated_io": 1,
                                         "stale_timely": 2}),
         ]
-        problems = gate_problems(points, None)
+        problems = gate_problems(points)
         assert len(problems) == 1
         assert "stale_timely" in problems[0]
         assert "new divergence class" in problems[0]
@@ -136,91 +133,136 @@ class TestGate:
             _campaign_point("r2", "a", 10, 1.0,
                             divergence={"repeated_io": 5}),
         ]
-        assert gate_problems(points, None) == []
+        assert gate_problems(points) == []
 
     def test_hit_rate_floor(self):
         points = [_campaign_point("r1", "a", 10, 1.0, hits=2, executed=8)]
-        assert gate_problems(points, None, min_hit_rate=0.1) == []
-        problems = gate_problems(points, None, min_hit_rate=0.5)
+        assert gate_problems(points, min_hit_rate=0.1) == []
+        problems = gate_problems(points, min_hit_rate=0.5)
         assert problems and "warm-hit rate" in problems[0]
 
     def test_perf_speedup_drop_fails(self):
-        doc = _bench_doc(
-            ("r1", {"b": {"wall_s": 1.0, "vm": 8.0}}),
-            ("r2", {"b": {"wall_s": 1.0, "vm": 4.0}}),
-        )
-        problems = gate_problems([], doc, max_drop_pct=30.0)
+        points = [_perf_point("r1", b=8.0), _perf_point("r2", b=4.0)]
+        problems = gate_problems(points)
         assert len(problems) == 1
         assert "vm" in problems[0] and "perf regression" in problems[0]
 
     def test_perf_single_entry_is_green(self):
-        doc = _bench_doc(
-            ("r1", {"b": {"wall_s": 1.0, "vm": 8.0}}),
-        )
-        assert gate_problems([], doc) == []
+        assert gate_problems([_perf_point("r1", b=8.0)]) == []
 
     def test_quick_and_full_entries_do_not_mix(self):
-        doc = _bench_doc(
-            ("r1", {"b": {"vm": 10.0}}),
-            ("r2", {"b": {"vm": 3.0}}),
-        )
-        doc["history"][0]["quick"] = True  # quick baselines don't gate full
-        assert gate_problems([], doc, max_drop_pct=30.0) == []
+        # a quick baseline does not gate a full run
+        points = [
+            _perf_point("r1", quick=True, b=10.0),
+            _perf_point("r2", b=3.0),
+        ]
+        assert gate_problems(points) == []
 
-    def test_committed_bench_history_gates_green(self):
-        with open(os.path.join(REPO_ROOT, "BENCH_sim.json")) as fh:
-            doc = json.load(fh)
-        points = [_campaign_point("r1", "a", 10, 1.0)]
-        assert gate_problems(points, doc) == []
+    def test_perf_and_campaign_rules_apply_together(self):
+        points = [
+            _campaign_point("r1", "a", 100, 1.0),
+            _perf_point("r1", b=8.0),
+            _campaign_point("r2", "a", 100, 3.0,
+                            divergence={"torn_dma": 2}),
+            _perf_point("r2", b=2.0),
+        ]
+        problems = gate_problems(points)
+        assert len(problems) == 3
+        assert "throughput regression" in problems[0]
+        assert "new divergence class" in problems[1]
+        assert "perf regression" in problems[2]
+
+
+def _series(tmp_path, *points):
+    series = SeriesStore(str(tmp_path / "s.jsonl"))
+    for point in points:
+        series.record_point(point)
+    return series.path
 
 
 class TestTrendsCLI:
-    def test_gate_green_on_committed_history(self, tmp_path):
-        series = SeriesStore(str(tmp_path / "s.jsonl"))
-        series.record_point(_campaign_point("r1", "a", 10, 1.0))
-        rc = obs_cli.main([
-            "trends", "--series", series.path,
-            "--bench", os.path.join(REPO_ROOT, "BENCH_sim.json"),
-            "--gate",
-        ])
-        assert rc == 0
-
     def test_gate_nonzero_on_synthetic_regression(self, tmp_path):
-        series = SeriesStore(str(tmp_path / "s.jsonl"))
-        series.record_point(_campaign_point("r1", "a", 100, 1.0))
-        series.record_point(
+        path = _series(
+            tmp_path,
+            _campaign_point("r1", "a", 100, 1.0),
             _campaign_point("r2", "a", 100, 3.0,
-                            divergence={"torn_dma": 1})
+                            divergence={"torn_dma": 1}),
         )
-        rc = obs_cli.main([
-            "trends", "--series", series.path, "--bench",
-            str(tmp_path / "missing.json"), "--gate",
-        ])
+        rc = obs_cli.main(["trends", "--series", path, "--gate"])
         assert rc == 2
 
     def test_json_output_carries_gate_verdict(self, tmp_path, capsys):
-        series = SeriesStore(str(tmp_path / "s.jsonl"))
-        series.record_point(_campaign_point("r1", "a", 10, 1.0))
-        rc = obs_cli.main([
-            "trends", "--series", series.path,
-            "--bench", str(tmp_path / "missing.json"),
-            "--gate", "--json",
-        ])
+        path = _series(
+            tmp_path,
+            _campaign_point("r1", "a", 10, 1.0),
+            _perf_point("r2", b=6.0),
+            _perf_point("r1", b=7.0),
+        )
+        rc = obs_cli.main(["trends", "--series", path, "--gate", "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert doc["gate"]["ok"] is True
         assert doc["series"]["revs"][0]["rev"] == "r1"
+        # perf points in recording order, not sorted by rev
+        assert [p["rev"] for p in doc["series"]["perf"]] == ["r2", "r1"]
         assert doc["analytics"]["campaigns"]["count"] == 1
+        assert "bench" not in doc
 
     def test_no_data_gate_exits_nonzero(self, tmp_path):
         rc = obs_cli.main([
-            "trends", "--series", str(tmp_path / "none.jsonl"),
-            "--bench", str(tmp_path / "missing.json"), "--gate",
+            "trends", "--series", str(tmp_path / "none.jsonl"), "--gate",
         ])
         assert rc == 2
 
-    def test_render_bench_trend_handles_missing(self):
-        assert "no perf history" in render_bench_trend(None)
+    def test_render_perf_trend_handles_missing(self):
+        assert "no perf points" in render_perf_trend([])
+
+    def test_perf_only_series_gates_green_and_lists_its_point(
+        self, tmp_path, capsys
+    ):
+        path = _series(tmp_path, _perf_point("abc1234", b=8.0))
+        rc = obs_cli.main(["trends", "--series", path, "--gate"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "abc1234" in out and "vm 8.0x" in out
+        assert "gate: trend holds" in out
+
+    def test_vm_speedup_collapse_exits_nonzero(self, tmp_path, capsys):
+        path = _series(
+            tmp_path,
+            _perf_point("base", b=8.0),
+            _perf_point("head", b=2.0),
+        )
+        rc = obs_cli.main(["trends", "--series", path, "--gate"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "perf regression" in captured.err
+        assert "8.0x -> 2.0x" in captured.out  # the sparkline row
+
+    def test_reads_no_bench_file_from_the_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = _series(tmp_path, _perf_point("r1", b=8.0))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        rc_empty = obs_cli.main(["trends", "--series", path, "--gate"])
+        out_empty = capsys.readouterr()
+
+        regressed = tmp_path / "regressed"
+        regressed.mkdir()
+        (regressed / "BENCH_sim.json").write_text(json.dumps({
+            "history": [
+                {"rev": "a", "quick": False,
+                 "speedups": {"b": {"vm": 8.0}}},
+                {"rev": "b", "quick": False,
+                 "speedups": {"b": {"vm": 1.0}}},
+            ],
+        }))
+        monkeypatch.chdir(regressed)
+        rc_bench = obs_cli.main(["trends", "--series", path, "--gate"])
+        assert (rc_bench, capsys.readouterr()) == (rc_empty, out_empty)
+        assert rc_empty == 0
 
 
 class TestSummaryReport:
