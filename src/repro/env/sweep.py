@@ -234,10 +234,14 @@ class SweepReport:
     rows: List[Dict[str, object]]
     elapsed_s: float = 0.0
     serve: Dict[str, int] = field(default_factory=dict)
+    #: interrupted before every unit ran (resumable from its checkpoint)
+    partial: bool = False
 
     @property
     def ok(self) -> bool:
-        return not any(r["replay_ok"] is False for r in self.rows)
+        return not self.partial and not any(
+            r["replay_ok"] is False for r in self.rows
+        )
 
     def totals(self) -> Dict[str, int]:
         rows = self.rows
@@ -263,11 +267,16 @@ class SweepReport:
             "rows": [dict(r) for r in self.rows],
             "serve": dict(self.serve),
             "elapsed_s": self.elapsed_s,
+            "partial": self.partial,
         }
 
     @classmethod
     def from_json(cls, doc: Dict[str, object]) -> "SweepReport":
-        """Rebuild a report from its :meth:`to_json` form (lossless)."""
+        """Rebuild a report from its :meth:`to_json` form (lossless).
+
+        Reports written before ``partial`` existed load as complete.
+        """
+        doc = {"partial": False, **doc}
         return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
     def render_text(self) -> str:
@@ -291,7 +300,9 @@ class SweepReport:
             )
             lines.append(f"  serve        : {served}")
         lines.append(f"  elapsed      : {self.elapsed_s:.2f}s")
-        if not self.ok:
+        if self.partial:
+            lines.append(f"  PARTIAL (interrupted after {t['units']} units)")
+        if t["replay_mismatches"]:
             lines.append("  REPLAY MISMATCH — record/replay contract broken")
         return "\n".join(lines)
 
@@ -325,6 +336,7 @@ def fold(
         rows=rows,
         elapsed_s=telemetry.elapsed_s,
         serve=dict(stats),
+        partial=partial,
     )
 
 

@@ -27,6 +27,12 @@ from repro.hw.memory import AddressSpace
 WORD_BYTES = 2
 
 
+def transfer_us(nbytes: int, setup_us: float, per_word_us: float) -> float:
+    """Latency of a transfer of ``nbytes`` (rounded up to words)."""
+    words = (nbytes + WORD_BYTES - 1) // WORD_BYTES
+    return setup_us + words * per_word_us
+
+
 @dataclass(frozen=True)
 class TransferClass:
     """Volatility classification of a transfer's endpoints."""
@@ -93,8 +99,7 @@ class DMAEngine:
 
     def cost_us(self, nbytes: int) -> float:
         """Latency of a transfer of ``nbytes`` (rounded up to words)."""
-        words = (nbytes + WORD_BYTES - 1) // WORD_BYTES
-        return self.setup_us + words * self.per_word_us
+        return transfer_us(nbytes, self.setup_us, self.per_word_us)
 
     def transfer(self, src: int, dst: int, nbytes: int) -> TransferReport:
         """Copy ``nbytes`` from ``src`` to ``dst``.

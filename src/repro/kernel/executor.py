@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.errors import NonTermination, ReproError
 from repro.hw import trace as T
 from repro.hw.mcu import Machine
+from repro.ir.costs import power_table
 from repro.kernel.power import FailureModel, NoFailures
 from repro.kernel.stats import BOOT, Metrics, RunStats, Step
 from repro.obs import metrics as obs_metrics
@@ -89,23 +90,6 @@ class IntermittentExecutor:
         self.nontermination_limit = nontermination_limit
         self.step_observer = step_observer
 
-    # -- power lookup -------------------------------------------------------
-
-    @staticmethod
-    def _power_table(machine: Machine) -> Dict[str, float]:
-        cost = machine.cost
-        table = {
-            "cpu": cost.power_cpu_mw,
-            "fram": cost.power_fram_mw,
-            "dma": cost.power_dma_mw,
-            "lea": cost.power_lea_mw,
-            "boot": cost.power_boot_mw,
-            "timekeeper": cost.power_timekeeper_mw,
-        }
-        for name in machine.peripherals.names():
-            table[name] = machine.peripherals.get(name).power_mw
-        return table
-
     # -- main loop ----------------------------------------------------------------
 
     def run(self, runtime) -> RunResult:
@@ -120,7 +104,7 @@ class IntermittentExecutor:
             return self._run_vm(runtime, vm)
         machine: Machine = runtime.machine
         stats = RunStats()
-        power = self._power_table(machine)
+        power = power_table(machine.cost, machine.peripherals)
         self.failure_model.reset()
 
         next_reset = math.inf

@@ -12,9 +12,9 @@ repo's only perf trajectory.
 Design constraints, in order:
 
 * **Durability over elegance** — a point is one ``os.write`` to an
-  ``O_APPEND`` fd, so concurrent writers (campaign processes, daemon
-  job threads, CI shards) never interleave partial lines; a torn final
-  line from a crash is skipped on read.
+  ``O_APPEND`` fd under an exclusive ``flock``, so concurrent writers
+  (campaign processes, daemon job threads, CI shards) never interleave
+  partial lines; a torn final line from a crash is skipped on read.
 * **Content-addressed dedup** — each point carries a SHA-256 digest of
   its *identity* fields (rev, campaign digest, label, run counters —
   not wall time, not cache provenance), so replaying a campaign from
@@ -32,6 +32,7 @@ duplicated here rather than imported from :mod:`repro.serve.store`.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -162,9 +163,12 @@ class SeriesStore:
     ) -> Optional[Dict[str, object]]:
         """Append one point; returns it, or None when deduplicated.
 
-        The write is a single ``os.write`` on an ``O_APPEND`` fd —
-        atomic at line granularity on every platform we run on — so
-        concurrent recorders never interleave partial lines.
+        The write is a single ``os.write`` on an ``O_APPEND`` fd.  That
+        alone does not keep concurrent recorders apart: the tail check
+        below can see another process's multi-page append half done and
+        put a newline in front of a good line.  So the tail check and
+        the write run under an exclusive ``flock`` on the file, which
+        every recorder takes.
         """
         point = dict(doc)
         point.setdefault("schema", SERIES_SCHEMA)
@@ -185,6 +189,8 @@ class SeriesStore:
                 self.path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644
             )
             try:
+                # released when the fd closes
+                fcntl.flock(fd, fcntl.LOCK_EX)
                 # a writer that died mid-append leaves a torn line with
                 # no newline; start on a fresh line so this point parses
                 # (O_APPEND still lands the write at the end)

@@ -60,10 +60,7 @@ class AlpacaRuntime(TaskRuntime):
         return f"__alp_{task}_{var}"
 
     def _privatization_words(self, task: A.Task) -> int:
-        words = 0
-        for var in self._war[task.name]:
-            words += max(1, self.env.symbol(var, follow_redirect=False).nbytes // 2)
-        return words
+        return sum(self.env.words_of(var) for var in self._war[task.name])
 
     def _task_prologue(self, task: A.Task) -> Iterator[Step]:
         """Copy WAR variables in and install redirects (every attempt)."""

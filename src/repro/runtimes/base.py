@@ -24,6 +24,8 @@ Key structural choices that reproduce the paper's phenomena:
   section 2.1.2).
 * **Loop variables live in registers** (Python-side interpreter
   context): they cost nothing to access and die with the attempt.
+* **Prices come from** :mod:`repro.ir.costs`, charged per executed
+  statement; the VM lowerer charges the same prices once per compile.
 
 Subclass hooks: ``_task_prologue`` (per-attempt entry work),
 ``_commit_steps`` (pre-commit work such as write-backs),
@@ -33,6 +35,7 @@ Subclass hooks: ``_task_prologue`` (per-attempt entry work),
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -51,6 +54,7 @@ from repro.errors import ProgramError, ReproError
 from repro.hw import trace as T
 from repro.hw.mcu import Machine
 from repro.ir import ast as A
+from repro.ir import costs
 from repro.kernel.stats import APP, IO, OVERHEAD, Step
 
 
@@ -145,8 +149,20 @@ class Environment:
         except KeyError:
             raise ProgramError(f"unknown variable {name!r}") from None
 
-    def is_nv(self, name: str) -> bool:
-        return self.storage_of(name) == A.NV
+    def nv_of(self, name: str, free=()) -> Optional[bool]:
+        """Access class of ``name`` for pricing (:mod:`repro.ir.costs`).
+
+        ``None`` (free) for a name in ``free`` (the loop variables in
+        scope) or one this environment does not hold.
+        """
+        if name in free:
+            return None
+        storage = self._storage.get(name)
+        return None if storage is None else storage == A.NV
+
+    def words_of(self, name: str) -> int:
+        """Word moves a CPU copy of variable ``name`` takes (no redirect)."""
+        return costs.words(self.symbol(name, follow_redirect=False).nbytes)
 
     def _resolved(self, name: str, follow_redirect: bool) -> str:
         if follow_redirect:
@@ -216,7 +232,7 @@ class Environment:
             )
         data = self.machine.space.read(s.addr, s.nbytes)
         self.machine.space.write(d.addr, data)
-        return max(1, s.nbytes // 2)
+        return costs.words(s.nbytes)
 
     def snapshot_nv(self, names: Sequence[str]) -> Dict[str, object]:
         """Read NV variables for correctness comparison."""
@@ -228,22 +244,6 @@ class Environment:
             else:
                 out[name] = self.cell(name, follow_redirect=False).get()
         return out
-
-
-def _count_gettime(expr: A.Expr) -> int:
-    if isinstance(expr, A.GetTime):
-        return 1
-    if isinstance(expr, A.BinOp):
-        return _count_gettime(expr.lhs) + _count_gettime(expr.rhs)
-    if isinstance(expr, A.Cmp):
-        return _count_gettime(expr.lhs) + _count_gettime(expr.rhs)
-    if isinstance(expr, A.BoolOp):
-        return sum(_count_gettime(op) for op in expr.operands)
-    if isinstance(expr, A.Not):
-        return _count_gettime(expr.operand)
-    if isinstance(expr, A.Index):
-        return _count_gettime(expr.index)
-    return 0
 
 
 class TaskRuntime:
@@ -277,6 +277,7 @@ class TaskRuntime:
         self._executed_sites: Set[Tuple[int, str, Tuple[int, ...]]] = set()
         # interpreter context: loop variables of the current attempt
         self._loop_vars: Dict[str, int] = {}
+        self._nv_of = partial(self.env.nv_of, free=self._loop_vars)
         self._attempts: Dict[int, int] = {}
         self._load()
 
@@ -402,28 +403,6 @@ class TaskRuntime:
                 f"task {task.name!r} fell through without TransitionTo/Halt"
             )
 
-    # -- cost model --------------------------------------------------------------
-
-    def _access_cost(self, accesses: Sequence[A.VarAccess]) -> float:
-        cost = self.machine.cost
-        total = 0.0
-        for acc in accesses:
-            if acc.name in self._loop_vars:
-                continue  # register-allocated
-            if not self.program.has_decl(acc.name) and acc.name not in self.env._storage:
-                continue
-            if self.env.is_nv(acc.name):
-                total += cost.read_nv_us
-            else:
-                total += cost.read_volatile_us
-        return total
-
-    def _expr_cost(self, expr: A.Expr) -> float:
-        return (
-            self._access_cost(expr.reads())
-            + _count_gettime(expr) * self.machine.cost.timekeeper_read_us
-        )
-
     # -- interpreter --------------------------------------------------------------
 
     def _exec_stmts(self, stmts: Sequence[A.Stmt]) -> Iterator[Step]:
@@ -529,36 +508,16 @@ class TaskRuntime:
         return OVERHEAD if synthetic else APP
 
     def _exec_assign(self, stmt: A.Assign) -> Iterator[Step]:
-        cost = self.machine.cost
-        duration = (
-            cost.assign_us
-            + self._expr_cost(stmt.expr)
-            + self._access_cost(stmt.writes())
-        )
-        target = A.lvalue_access(stmt.target)
-        category = "fram" if self._is_nv_name(target.name) else "cpu"
+        duration, category = costs.assign(self.machine.cost, self._nv_of, stmt)
         yield Step(duration, self._kind_of(stmt.synthetic), category)
         self._store(stmt.target, self._eval(stmt.expr))
 
-    def _is_nv_name(self, name: str) -> bool:
-        if name in self._loop_vars:
-            return False
-        try:
-            return self.env.is_nv(name)
-        except ProgramError:
-            return False
-
     def _exec_compute(self, stmt: A.Compute) -> Iterator[Step]:
-        # split long computations so failures land mid-way through them
-        remaining = stmt.cycles * self.machine.cost.compute_unit_us
-        chunk = 200.0
-        while remaining > 0:
-            slice_us = min(chunk, remaining)
+        for slice_us in costs.compute_slices(self.machine.cost, stmt):
             yield Step(slice_us, APP, "cpu")
-            remaining -= slice_us
 
     def _exec_if(self, stmt: A.If) -> Iterator[Step]:
-        duration = self.machine.cost.branch_us + self._expr_cost(stmt.cond)
+        duration = costs.if_head_us(self.machine.cost, self._nv_of, stmt)
         yield Step(duration, self._kind_of(stmt.synthetic), "cpu")
         branch = stmt.then if self._eval(stmt.cond) != 0.0 else stmt.orelse
         yield from self._exec_stmts(branch)
@@ -587,42 +546,10 @@ class TaskRuntime:
         seq = int(self.env.cell("__task_seq").get())
         return (seq, site, self._loop_index_key())
 
-    def _io_duration(self, call: A.IOCall) -> Tuple[float, str]:
-        """(duration, energy category) of an I/O call."""
-        if call.is_lea:
-            return self._lea_cost(call), "lea"
-        periph = self.machine.peripherals.get(call.func)
-        duration = periph.duration_us
-        per_word = getattr(periph, "per_word_us", None)
-        if per_word is not None:
-            duration += per_word * len(call.args)
-        return duration, call.func
-
-    def _lea_cost(self, call: A.IOCall) -> float:
-        cost = self.machine.cost
-        p = call.lea_params or {}
-        op = call.func.split(".", 1)[1]
-        if op == "fir":
-            macs = int(p["n_out"]) * self._len_of(p["coeffs"])
-        elif op == "mac":
-            macs = int(p["n"])
-        elif op == "conv2d":
-            oh = int(p["height"]) - int(p["ksize"]) + 1
-            ow = int(p["width"]) - int(p["ksize"]) + 1
-            macs = oh * ow * int(p["ksize"]) ** 2
-        elif op == "fc":
-            macs = int(p["n_out"]) * int(p["n_in"])
-        elif op in ("relu", "argmax"):
-            macs = (int(p["n"]) + 1) // 2
-        else:
-            raise ProgramError(f"unknown LEA op {call.func!r}")
-        return cost.lea_setup_us + macs * cost.lea_per_mac_us
-
-    def _len_of(self, name: object) -> int:
-        return self.env.symbol(str(name), follow_redirect=False).length
-
     def _exec_io(self, call: A.IOCall) -> Iterator[Step]:
-        duration, category = self._io_duration(call)
+        duration, category = costs.io_call(
+            self.machine.cost, self.machine.peripherals, self.program, call
+        )
         yield Step(duration, IO, category)
         key = self._site_key(call.site)
         repeat = key in self._executed_sites
@@ -704,8 +631,7 @@ class TaskRuntime:
         return src, dst
 
     def _exec_dma(self, dma: A.DMACopy) -> Iterator[Step]:
-        duration = self.machine.dma.cost_us(dma.size_bytes)
-        yield Step(duration, IO, "dma")
+        yield Step(costs.dma_us(self.machine.cost, dma.size_bytes), IO, "dma")
         self._do_dma_transfer(dma)
 
     @staticmethod
@@ -749,14 +675,8 @@ class TaskRuntime:
     # -- regional privatization (used by EaseIO-transformed programs) --------------------
 
     def _exec_region_boundary(self, rb: A.RegionBoundary) -> Iterator[Step]:
-        cost = self.machine.cost
-        words = 0
-        for var, _copy in rb.copies:
-            words += max(
-                1, self.env.symbol(var, follow_redirect=False).nbytes // 2
-            )
-        duration = (
-            cost.flag_check_us + cost.flag_set_us + words * cost.priv_word_us
+        duration, words = costs.region_boundary(
+            self.machine.cost, rb, self.env.words_of
         )
         flag = self.env.cell(rb.flag, follow_redirect=False)
         dma_flag_cell = (
@@ -799,12 +719,9 @@ class TaskRuntime:
             )
 
     def _exec_copy_words(self, cw: A.CopyWords) -> Iterator[Step]:
-        # same accounting as region privatization: one FRAM word move
-        # per data word, charged before the (atomic) effect
-        words = max(
-            1, self.env.symbol(cw.src, follow_redirect=False).nbytes // 2
-        )
-        yield Step(words * self.machine.cost.priv_word_us, OVERHEAD, "fram")
+        # charged before the (atomic) effect
+        duration = costs.copy_words_us(self.machine.cost, cw, self.env.words_of)
+        yield Step(duration, OVERHEAD, "fram")
         self.env.copy_words(cw.src, cw.dst)
 
     # -- task transitions ------------------------------------------------------------------

@@ -44,6 +44,7 @@ from repro.errors import ProgramError
 from repro.hw import trace as T
 from repro.hw.mcu import Machine
 from repro.ir import ast as A
+from repro.ir import costs
 from repro.ir.transform import (
     PRIV_BUFFER,
     TransformOptions,
@@ -172,6 +173,7 @@ class EaseIORuntime(TaskRuntime):
 
         src, dst = self._dma_window(dma)
         cls = self.machine.dma.classify(src, dst, dma.size_bytes)
+        dur = costs.dma_us(cost, dma.size_bytes)
         yield Step(cost.flag_check_us, OVERHEAD, "fram")
         lock_set = (
             bool(self.env.read(dma.lock_flag, follow_redirect=False))
@@ -190,7 +192,7 @@ class EaseIORuntime(TaskRuntime):
                     classification=cls.label,
                 )
                 return
-            yield Step(self.machine.dma.cost_us(dma.size_bytes), IO, "dma")
+            yield Step(dur, IO, "dma")
             self._transfer_raw(
                 src, dst, dma.size_bytes, dma.site, "single",
                 mark_site=True, semantic="Single", forced=related_fired,
@@ -215,16 +217,14 @@ class EaseIORuntime(TaskRuntime):
             if need_snapshot:
                 # the snapshot phase is privatization work, not useful
                 # application I/O: account it as runtime overhead
-                yield Step(
-                    self.machine.dma.cost_us(dma.size_bytes), OVERHEAD, "dma"
-                )
+                yield Step(dur, OVERHEAD, "dma")
                 self._transfer_raw(
                     src, buf, dma.size_bytes, dma.site, "private_snapshot",
                     semantic="Private", forced=related_fired,
                 )
                 if dma.lock_flag:
                     self.env.write(dma.lock_flag, 1, follow_redirect=False)
-            yield Step(self.machine.dma.cost_us(dma.size_bytes), IO, "dma")
+            yield Step(dur, IO, "dma")
             self._transfer_raw(
                 buf, dst, dma.size_bytes, dma.site, "private_commit",
                 mark_site=True, semantic="Private", forced=related_fired,
@@ -233,7 +233,7 @@ class EaseIORuntime(TaskRuntime):
             return
 
         # -- volatile -> volatile: Always ------------------------------------
-        yield Step(self.machine.dma.cost_us(dma.size_bytes), IO, "dma")
+        yield Step(dur, IO, "dma")
         self._transfer_raw(
             src, dst, dma.size_bytes, dma.site, "always",
             mark_site=True, semantic="Always",
@@ -255,7 +255,7 @@ class EaseIORuntime(TaskRuntime):
             lw.lower_dma_base(dma, ctx)
             return
         cost = self.machine.cost
-        dur = self.machine.dma.cost_us(dma.size_bytes)
+        dur = costs.dma_us(cost, dma.size_bytes)
         S = lw.S
         src_fn = lw.addr_fn(dma.src, ctx)
         dst_fn = lw.addr_fn(dma.dst, ctx)

@@ -71,10 +71,7 @@ class InKRuntime(TaskRuntime):
         return f"__ink_{task}_{var}"
 
     def _buffer_words(self, task: A.Task) -> int:
-        words = 0
-        for var in self._shared[task.name]:
-            words += max(1, self.env.symbol(var, follow_redirect=False).nbytes // 2)
-        return words
+        return sum(self.env.words_of(var) for var in self._shared[task.name])
 
     def _task_prologue(self, task: A.Task) -> Iterator[Step]:
         """Kernel dispatch + copy-in of the task's shared state."""
@@ -97,11 +94,7 @@ class InKRuntime(TaskRuntime):
         """Cost of publishing the written working buffers."""
         written = self._written[task.name]
         if written:
-            words = 0
-            for var in written:
-                words += max(
-                    1, self.env.symbol(var, follow_redirect=False).nbytes // 2
-                )
+            words = sum(self.env.words_of(var) for var in written)
             yield Step(words * self.machine.cost.commit_word_us, OVERHEAD, "fram")
 
     def _commit_effects(self, task: A.Task) -> None:

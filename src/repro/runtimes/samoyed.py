@@ -65,9 +65,7 @@ class SamoyedRuntime(TaskRuntime):
                 self.env.add_runtime_var(
                     f"__smy_{slot}_{name}", A.NV, decl.dtype, decl.length
                 )
-            words += max(
-                1, self.env.symbol(name, follow_redirect=False).nbytes // 2
-            )
+            words += self.env.words_of(name)
         self._snapshot_words = words
         # checkpoint record: statement index per slot + selector
         self.env.add_runtime_var("__smy_idx_0", A.NV, "int32")

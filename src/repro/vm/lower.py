@@ -22,13 +22,11 @@ specialized instruction tuples:
   stats time-key, energy at the category's power draw) is precomputed
   so the executor's hot loop does no lookups.
 
-Costs replicate the interpreter's cost model statically: every
-access is classified once (:data:`_ACC_NV`/:data:`_ACC_VOL` for
-program declarations, :data:`_ACC_DYN` for runtime-internal names the
-interpreter resolves "at run time") and loop variables are skipped;
-the dynamic classifications are safely resolved here because the
-environment's variable population is fixed after runtime
-construction.
+Prices come from :mod:`repro.ir.costs`, the same functions the
+interpreter charges per executed statement; here each statement is
+priced once per compile, with the loop registers in scope free.  That
+is sound because the environment's variable population is fixed after
+runtime construction.
 
 Anything the lowerer does not understand — subclassed AST nodes,
 unknown statements, shape mismatches — raises :class:`Unlowerable`,
@@ -47,19 +45,25 @@ import numpy as np
 from repro.errors import PeripheralError, ProgramError, ReproError
 from repro.hw import trace as T
 from repro.ir import ast as A
-from repro.kernel.executor import IntermittentExecutor
+from repro.ir import costs
 from repro.kernel.stats import APP, IO, OVERHEAD, Step
-from repro.runtimes.base import _count_gettime
 from repro.vm.machine import DISPATCH_PC, HALT, VM, VMCode
-
-#: static access classification of the cost model
-_ACC_VOL = 0   # declared volatile (SRAM/LEA-RAM) -> read_volatile_us
-_ACC_NV = 1    # declared non-volatile (FRAM)     -> read_nv_us
-_ACC_DYN = 2   # not a program declaration        -> resolve via the env
 
 
 class Unlowerable(Exception):
     """The program uses a construct the VM compiler does not support."""
+
+
+def _eval_source(src: str, ns: Dict[str, object]):
+    """``eval`` generated source through an explicit code object.
+
+    A KeyboardInterrupt raised inside ``eval`` of a *string* makes
+    CPython exit by SIGINT at the end of a ``python -m`` run even when
+    the exception was caught.  A campaign drained by SIGINT/SIGTERM
+    while lowering would then die by SIGINT instead of exiting 130;
+    ``eval`` of a code object leaves the exit status alone.
+    """
+    return eval(compile(src, "<vm>", "eval"), ns)
 
 
 class _Label:
@@ -72,14 +76,16 @@ class _Label:
 
 
 class Ctx:
-    """Per-task lowering context: redirects and loop registers."""
+    """Per-task lowering context: redirects, loop registers, pricing."""
 
-    __slots__ = ("redirects", "loop_regs", "loop_order")
+    __slots__ = ("redirects", "loop_regs", "loop_order", "nv_of")
 
-    def __init__(self, redirects: Dict[str, str]) -> None:
+    def __init__(self, redirects: Dict[str, str], env) -> None:
         self.redirects = redirects
         self.loop_regs: Dict[str, int] = {}
         self.loop_order: List[int] = []
+        #: access classifier for repro.ir.costs (loop registers free)
+        self.nv_of = partial(env.nv_of, free=self.loop_regs)
 
 
 #: statement node types with first-class lowering (exact-type matched;
@@ -106,11 +112,8 @@ class Lowerer:
         self.S: List[object] = [None] * 4
         self.max_regs = 0
         self._emit_tr = runtime.machine.trace.emit
-        self._power = IntermittentExecutor._power_table(runtime.machine)
+        self._power = costs.power_table(self.cost, runtime.machine.peripherals)
         self._cpu_mw = self.cost.power_cpu_mw
-        self._decl_nv = {
-            d.name: d.storage == A.NV for d in runtime.program.decls
-        }
 
     # ==== spec stream primitives ==========================================
 
@@ -149,47 +152,6 @@ class Lowerer:
             return eff
         self.specs[idx] = (step.duration_us, step.kind, step.category, build)
 
-    # ==== cost model (static replica of the interpreter's) ================
-
-    def classify_access(self, name: str) -> int:
-        nv = self._decl_nv.get(name)
-        if nv is None:
-            return _ACC_DYN
-        return _ACC_NV if nv else _ACC_VOL
-
-    def access_entries(self, accesses: Sequence[A.VarAccess]) -> tuple:
-        return tuple(
-            (acc.name, self.classify_access(acc.name)) for acc in accesses
-        )
-
-    def entries_cost(self, entries: tuple, ctx: Ctx) -> float:
-        cost = self.cost
-        env = self.env
-        program = self.program
-        total = 0.0
-        for name, cls in entries:
-            if name in ctx.loop_regs:
-                continue  # register-allocated
-            if cls == _ACC_NV:
-                total += cost.read_nv_us
-            elif cls == _ACC_VOL:
-                total += cost.read_volatile_us
-            else:
-                if not program.has_decl(name) and name not in env._storage:
-                    continue
-                if env.is_nv(name):
-                    total += cost.read_nv_us
-                else:
-                    total += cost.read_volatile_us
-        return total
-
-    def expr_cost(self, expr: A.Expr, ctx: Ctx) -> float:
-        total = self.entries_cost(self.access_entries(expr.reads()), ctx)
-        n_gettime = _count_gettime(expr)
-        if n_gettime:
-            total += n_gettime * self.cost.timekeeper_read_us
-        return total
-
     # ==== cells, views, addresses =========================================
 
     def _scalar(self, name: str):
@@ -224,9 +186,6 @@ class Lowerer:
         space = self.machine.space
         return (space.view(d.addr, d.nbytes), space.view(s.addr, s.nbytes))
 
-    def words_of(self, name: str) -> int:
-        return max(1, self.env.symbol(name, follow_redirect=False).nbytes // 2)
-
     def addr_fn(self, ref, ctx: Ctx):
         """Address computation for a DMA endpoint (no redirect)."""
         sym = self.env.symbol(ref.name, follow_redirect=False)
@@ -249,7 +208,7 @@ class Lowerer:
         binds: Dict[str, object] = {}
         src = self._gen(expr, ctx, binds)
         if not binds and "R[" not in src and "now" not in src:
-            value = eval(src, {})  # constant fold
+            value = _eval_source(src, {})  # constant fold
             def const_fn(now, _v=value):
                 return _v
             return const_fn
@@ -258,7 +217,7 @@ class Lowerer:
         lam = f"lambda now, R=R{defaults}: ({src})"
         ns = {"R": self.R}
         ns.update(binds)
-        return eval(lam, ns)
+        return _eval_source(lam, ns)
 
     def _bind(self, binds: Dict[str, object], obj: object) -> str:
         name = f"_b{len(binds)}"
@@ -337,13 +296,13 @@ class Lowerer:
                 return ()
             return no_loops
         src = "lambda R=R: (" + ",".join(f"R[{i}]" for i in idxs) + ",)"
-        return eval(src, {"R": self.R})
+        return _eval_source(src, {"R": self.R})
 
     # ==== statements =======================================================
 
     def begin_task(self, task: A.Task) -> Ctx:
         """Fresh per-task context with the runtime's static redirects."""
-        return Ctx(dict(self.rt.vm_redirects(task)))
+        return Ctx(dict(self.rt.vm_redirects(task)), self.env)
 
     def lower_stmts(self, stmts: Sequence[A.Stmt], ctx: Ctx) -> None:
         for stmt in stmts:
@@ -380,28 +339,11 @@ class Lowerer:
             raise Unlowerable(f"unsupported statement {type(stmt).__name__}")
 
     def _lower_assign(self, stmt: A.Assign, ctx: Ctx) -> None:
-        cost = self.cost
-        target = A.lvalue_access(stmt.target)
-        duration = (
-            cost.assign_us
-            + self.expr_cost(stmt.expr, ctx)
-            + self.entries_cost(self.access_entries(stmt.writes()), ctx)
-        )
-        tname = target.name
-        if tname in ctx.loop_regs:
-            category = "cpu"
-        else:
-            cls = self.classify_access(tname)
-            if cls == _ACC_NV:
-                category = "fram"
-            elif cls == _ACC_VOL:
-                category = "cpu"
-            else:
-                category = "fram" if self.rt._is_nv_name(tname) else "cpu"
+        duration, category = costs.assign(self.cost, ctx.nv_of, stmt)
         kind = OVERHEAD if stmt.synthetic else APP
         expr_fn = self.compile_expr(stmt.expr, ctx)
         if type(stmt.target) is A.Var:
-            actual = ctx.redirects.get(tname, tname)
+            actual = ctx.redirects.get(stmt.target.name, stmt.target.name)
             setter = self._scalar(actual).set
             idx = self.emit(duration, kind, category, None)
             def build(_s=setter, _e=expr_fn, _n=idx + 1):
@@ -432,15 +374,11 @@ class Lowerer:
         self.specs[idx] = (duration, kind, category, build)
 
     def _lower_compute(self, stmt: A.Compute) -> None:
-        remaining = stmt.cycles * self.cost.compute_unit_us
-        chunk = 200.0
-        while remaining > 0:
-            slice_us = min(chunk, remaining)
+        for slice_us in costs.compute_slices(self.cost, stmt):
             self.emit_cost_step(Step(slice_us, APP, "cpu"))
-            remaining -= slice_us
 
     def _lower_if(self, stmt: A.If, ctx: Ctx) -> None:
-        duration = self.cost.branch_us + self.expr_cost(stmt.cond, ctx)
+        duration = costs.if_head_us(self.cost, ctx.nv_of, stmt)
         kind = OVERHEAD if stmt.synthetic else APP
         cond_fn = self.compile_expr(stmt.cond, ctx)
         else_l = self.label()
@@ -504,16 +442,9 @@ class Lowerer:
 
     def _lower_io(self, call: A.IOCall, ctx: Ctx) -> None:
         rt = self.rt
-        if call.is_lea:
-            duration = rt._lea_cost(call)
-            category = "lea"
-        else:
-            periph = self.machine.peripherals.get(call.func)
-            duration = periph.duration_us
-            per_word = getattr(periph, "per_word_us", None)
-            if per_word is not None:
-                duration += per_word * len(call.args)
-            category = call.func
+        duration, category = costs.io_call(
+            self.cost, self.machine.peripherals, self.program, call
+        )
         store = None if call.out is None else self.make_store(call.out, ctx)
         kf = self.key_fn(ctx)
         seq_get = self.scalar_get("__task_seq")
@@ -583,7 +514,7 @@ class Lowerer:
 
     def lower_dma_base(self, dma: A.DMACopy, ctx: Ctx) -> None:
         """Base policy: transfer every time, no protection."""
-        duration = self.machine.dma.cost_us(dma.size_bytes)
+        duration = costs.dma_us(self.cost, dma.size_bytes)
         src_fn = self.addr_fn(dma.src, ctx)
         dst_fn = self.addr_fn(dma.dst, ctx)
         kf = self.key_fn(ctx)
@@ -620,11 +551,7 @@ class Lowerer:
     # -- regional privatization ---------------------------------------------
 
     def _lower_region_boundary(self, rb: A.RegionBoundary) -> None:
-        cost = self.cost
-        words = sum(self.words_of(var) for var, _copy in rb.copies)
-        duration = (
-            cost.flag_check_us + cost.flag_set_us + words * cost.priv_word_us
-        )
+        duration, words = costs.region_boundary(self.cost, rb, self.env.words_of)
         flag = self._scalar(rb.flag)
         fget = self.scalar_get(rb.flag)
         dma_set = None if rb.dma_flag is None else self._scalar(rb.dma_flag).set
@@ -677,9 +604,8 @@ class Lowerer:
         self.specs[idx] = (duration, OVERHEAD, "fram", build)
 
     def _lower_copy_words(self, cw: A.CopyWords) -> None:
-        words = self.words_of(cw.src)
         pair = self.copy_pair(cw.src, cw.dst)
-        duration = words * self.cost.priv_word_us
+        duration = costs.copy_words_us(self.cost, cw, self.env.words_of)
         idx = self.emit(duration, OVERHEAD, "fram", None)
         def build(_p=pair, _n=idx + 1):
             def eff(now, _p=_p, _n=_n):

@@ -145,7 +145,10 @@ class TestScriptedInterrupt:
         assert total == SWEEP_COUNT
         assert 0 < len(partial["rows"]) < SWEEP_COUNT
         assert partial["config"]["kind"] == "env-sweep"
+        assert partial["partial"] is True
+        assert partial["ok"] is False
 
+        assert final["partial"] is False
         assert len(final["rows"]) == SWEEP_COUNT
         assert final["serve"]["checkpoint_restored"] >= len(partial["rows"])
 
@@ -154,6 +157,26 @@ class TestScriptedInterrupt:
             count=SWEEP_COUNT, seed=17, apps=("uni_temp",),
         ))
         assert final["rows"] == reference.to_json()["rows"]
+
+
+def test_interrupt_caught_in_generated_code_keeps_the_exit_status(tmp_path):
+    """The VM lowerer evaluates generated source.  An interrupt raised
+    inside that evaluation and caught by the draining campaign must not
+    turn the CLI's status 130 into a death by SIGINT (it did in about
+    one of three SIGTERMs of an env sweep, which lowers every unit)."""
+    (tmp_path / "probe.py").write_text(
+        "import sys\n"
+        "from repro.vm.lower import _eval_source\n"
+        "try:\n"
+        "    _eval_source('(_ for _ in ()).throw(KeyboardInterrupt)', {})\n"
+        "except KeyboardInterrupt:\n"
+        "    pass\n"
+        "sys.exit(130)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "probe"], cwd=tmp_path, env=_env(),
+    )
+    assert proc.returncode == 130
 
 
 class TestInProcessCancel:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.env.sweep import (
     SweepConfig,
+    SweepReport,
     run_sweep,
     sweep_envs,
     sweep_unit_key,
@@ -126,11 +127,14 @@ def test_interrupted_sweep_resumes_from_checkpoint(tmp_path):
     exc = exc_info.value
     assert exc.done == 4 and exc.total == 10
     assert exc.report is not None and len(exc.report.rows) == 4
+    assert exc.report.partial and not exc.report.ok
+    assert "PARTIAL (interrupted after 4 units)" in exc.report.render_text()
 
     resumed = run_sweep(cfg)
     assert resumed.serve["checkpoint_restored"] == 4
     assert resumed.serve["executed"] == 6
     assert len(resumed.rows) == 10 and resumed.ok
+    assert resumed.partial is False
     # the resumed half and the restored half agree with a fresh run
     fresh = run_sweep(SweepConfig(count=10, seed=11, apps=("uni_temp",)))
     assert resumed.rows == fresh.rows
@@ -142,3 +146,11 @@ def test_sharded_sweep_matches_inline(tmp_path):
         SweepConfig(count=6, seed=2, apps=("uni_temp",), workers=2)
     )
     assert sharded.rows == inline.rows
+
+
+def test_report_without_partial_loads_as_complete():
+    doc = run_sweep(SweepConfig(count=2, seed=2, apps=("uni_temp",))).to_json()
+    assert doc["partial"] is False
+    del doc["partial"]  # the form written before the flag existed
+    report = SweepReport.from_json(doc)
+    assert report.partial is False and report.ok

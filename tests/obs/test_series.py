@@ -131,7 +131,7 @@ class TestSeriesStore:
 
 
 def _concurrent_writer(args):
-    path, worker = args
+    path, worker, width = args
     store = SeriesStore(path)
     for i in range(25):
         store.record_point({
@@ -140,16 +140,22 @@ def _concurrent_writer(args):
             "label": f"w{worker}-p{i}",
             "campaign": f"c-{worker}-{i}",
             "units": i,
-            "counters": {f"run.k{j}": j for j in range(50)},
+            "counters": {f"run.k{j}": j for j in range(width)},
         })
     return worker
 
 
 class TestConcurrency:
-    def test_concurrent_writers_never_tear_lines(self, tmp_path):
+    # lines of ~0.8 KB and ~3 KB: an append that spans two pages of the
+    # page cache lands in more than one copy, and the wider the line,
+    # the likelier another writer's tail check sees it half done
+    @pytest.mark.parametrize("width", [50, 200])
+    def test_concurrent_writers_never_tear_lines(self, tmp_path, width):
         path = str(tmp_path / "series.jsonl")
         with multiprocessing.Pool(4) as pool:
-            pool.map(_concurrent_writer, [(path, w) for w in range(4)])
+            pool.map(
+                _concurrent_writer, [(path, w, width) for w in range(4)]
+            )
         with open(path) as fh:
             lines = fh.read().splitlines()
         # every line parses — no interleaved partial writes
