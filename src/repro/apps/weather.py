@@ -129,14 +129,28 @@ def build(
 # ---------------------------------------------------------------------------
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# the network's constants, as dnn.declare_network installs them
+_K1 = np.array([1, 0, -1, 2, 0, -2, 1, 0, -1], dtype=np.int16).reshape(3, 3)
+_K2 = np.array([0, 1, 0, 1, -4, 1, 0, 1, 0], dtype=np.int16).reshape(3, 3)
+_FC_W = np.array(
+    [((i * 7 + 3) % 11) - 5 for i in range(dnn.CLASSES * dnn.FLAT)],
+    dtype=np.int32,
+).reshape(dnn.CLASSES, dnn.FLAT)
+_OFFSETS = np.arange(dnn.IMG * dnn.IMG) * 3
 
 
 def fill_image(luminance: float) -> "np.ndarray":
     """The t_fill expansion, replicated with the interpreter's casts."""
-    img = np.empty(dnn.IMG * dnn.IMG, dtype=np.int16)
-    for i in range(img.size):
-        img[i] = np.int16((luminance + i * 3) % 97 - 48)
-    return img
+    return ((luminance + _OFFSETS) % 97 - 48).astype(np.int16)
+
+
+def _conv(image: "np.ndarray", kernel: "np.ndarray") -> "np.ndarray":
+    """Valid convolution: int32 accumulate, truncating int16 store."""
+    windows = sliding_window_view(image, kernel.shape)
+    acc = np.einsum("rcij,ij->rc", windows, kernel, dtype=np.int32)
+    return acc.astype(np.int16)
 
 
 def golden_inference(luminance: float) -> "dict":
@@ -147,31 +161,13 @@ def golden_inference(luminance: float) -> "dict":
     finished run's ``scores``/``class_out`` can be checked against
     whatever scene the camera actually sampled — the paper's
     "execution correctness" metric is about memory consistency, not
-    about two runs seeing identical environments.
+    about two runs seeing identical environments.  It shares no code
+    with :mod:`repro.hw.lea`, the model it checks.
     """
-    k1 = np.array([1, 0, -1, 2, 0, -2, 1, 0, -1], dtype=np.int16).reshape(3, 3)
-    k2 = np.array([0, 1, 0, 1, -4, 1, 0, 1, 0], dtype=np.int16).reshape(3, 3)
-    fc_w = np.array(
-        [((i * 7 + 3) % 11) - 5 for i in range(dnn.CLASSES * dnn.FLAT)],
-        dtype=np.int16,
-    ).reshape(dnn.CLASSES, dnn.FLAT)
-
-    def conv(img2d: "np.ndarray", ker: "np.ndarray") -> "np.ndarray":
-        side = img2d.shape[0]
-        out_side = side - ker.shape[0] + 1
-        out = np.empty((out_side, out_side), dtype=np.int32)
-        for r in range(out_side):
-            for c in range(out_side):
-                window = img2d[r : r + 3, c : c + 3].astype(np.int32)
-                out[r, c] = np.sum(window * ker.astype(np.int32))
-        return out.astype(np.int16)
-
     x = fill_image(luminance).reshape(dnn.IMG, dnn.IMG)
-    x = conv(x, k1)                      # 6x6
-    x = np.maximum(x, 0).astype(np.int16)  # relu
-    x = conv(x, k2)                      # 4x4
-    flat = x.reshape(-1).astype(np.int32)
-    scores = (fc_w.astype(np.int32) @ flat).astype(np.int32)
+    x = np.maximum(_conv(x, _K1), 0)     # conv -> relu, 10x10
+    x = _conv(x, _K2)                    # 8x8
+    scores = _FC_W @ x.reshape(-1).astype(np.int32)
     return {"scores": scores, "class_out": int(np.argmax(scores))}
 
 

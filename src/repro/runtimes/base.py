@@ -379,8 +379,8 @@ class TaskRuntime:
 
     def start(self) -> Iterator[Step]:
         """(Re)start execution from the committed task cursor."""
-        self._loop_vars.clear()
         while not self.completed:
+            self._loop_vars.clear()  # TransitionTo may exit mid-loop
             idx = int(self.env.cell("__cur_task").get())
             seq = int(self.env.cell("__task_seq").get())
             task = self.program.tasks[idx]

@@ -109,9 +109,9 @@ class SamoyedRuntime(TaskRuntime):
     # -- execution loop ----------------------------------------------------------
 
     def start(self) -> Iterator[Step]:
-        self._loop_vars.clear()
         c = self.machine.cost
         while not self.completed:
+            self._loop_vars.clear()  # see TaskRuntime.start
             idx = int(self.env.cell("__cur_task").get())
             task = self.program.tasks[idx]
             seq = int(self.env.cell("__task_seq").get())

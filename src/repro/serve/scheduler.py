@@ -11,8 +11,8 @@ payload + optional store key) and a worker task; the scheduler then
    content-addressed store — a cache hit costs one file read, no
    simulation;
 3. **shards** the remaining units across a ``multiprocessing`` pool
-   (bounded in-flight shards, results streamed back as shards finish),
-   or runs them inline for ``workers == 1``;
+   (two shards per worker in flight, one running and one queued, results
+   streamed back as shards finish), or runs them inline for ``workers == 1``;
 4. **persists** every fresh result — store write plus one appended,
    flushed checkpoint line — *before* counting it done, so progress is
    durable at unit granularity;
@@ -535,7 +535,7 @@ class BatchScheduler:
                     while (
                         not interrupted
                         and next_shard < len(shards)
-                        and len(inflight) < self.workers
+                        and len(inflight) < 2 * self.workers
                     ):
                         inflight[next_shard] = pool.apply_async(
                             _run_shard, (shards[next_shard],)

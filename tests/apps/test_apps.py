@@ -108,7 +108,63 @@ class TestContinuousCorrectness:
         assert -5.0 < mean < 25.0  # sensor base 10, amplitude 6, noise
 
 
+def _per_pixel_inference(luminance):
+    """The weather golden model written out pixel by pixel: the
+    reference the vectorized one must match bit for bit."""
+    img = np.empty(dnn.IMG * dnn.IMG, dtype=np.int16)
+    for i in range(img.size):
+        img[i] = np.int16((luminance + i * 3) % 97 - 48)
+    k1 = np.array([1, 0, -1, 2, 0, -2, 1, 0, -1], dtype=np.int16).reshape(3, 3)
+    k2 = np.array([0, 1, 0, 1, -4, 1, 0, 1, 0], dtype=np.int16).reshape(3, 3)
+    fc_w = np.array(
+        [((i * 7 + 3) % 11) - 5 for i in range(dnn.CLASSES * dnn.FLAT)],
+        dtype=np.int16,
+    ).reshape(dnn.CLASSES, dnn.FLAT)
+
+    def conv(img2d, ker):
+        side = img2d.shape[0]
+        out_side = side - ker.shape[0] + 1
+        out = np.empty((out_side, out_side), dtype=np.int32)
+        for r in range(out_side):
+            for c in range(out_side):
+                window = img2d[r : r + 3, c : c + 3].astype(np.int32)
+                out[r, c] = np.sum(window * ker.astype(np.int32))
+        return out.astype(np.int16)
+
+    x = img.reshape(dnn.IMG, dnn.IMG)
+    x = conv(x, k1)                      # 10x10
+    x = np.maximum(x, 0).astype(np.int16)  # relu
+    x = conv(x, k2)                      # 8x8
+    flat = x.reshape(-1).astype(np.int32)
+    scores = (fc_w.astype(np.int32) @ flat).astype(np.int32)
+    return {"scores": scores, "class_out": int(np.argmax(scores))}
+
+
+#: -300 to 600 in steps of 0.25, 3,000 uniform draws in +-1e4, and
+#: edge values (signed zeros, the modulus, the int16 range)
+GOLDEN_SWEEP = (
+    list(np.arange(-300.0, 600.25, 0.25))
+    + list(np.random.default_rng(0).uniform(-1e4, 1e4, 3000))
+    + [-0.0, 96.999999, 97.0, -97.0, 1e4, -1e4, 32767.0, -32768.0]
+)
+
+
 class TestGoldenModels:
+    def test_weather_golden_matches_per_pixel_reference(self):
+        for lum in GOLDEN_SWEEP:
+            want = _per_pixel_inference(float(lum))
+            got = weather.golden_inference(float(lum))
+            assert got["scores"].dtype == want["scores"].dtype, lum
+            assert np.array_equal(got["scores"], want["scores"]), lum
+            assert got["class_out"] == want["class_out"], lum
+
+    def test_fir_golden_signal_is_one_read_only_array(self):
+        golden = fir.golden_filtered_signal()
+        assert fir.golden_filtered_signal() is golden
+        assert not golden.flags.writeable
+        with pytest.raises(ValueError):
+            golden[0] = 1
+
     def test_fir_golden_signal_shape(self):
         golden = fir.golden_filtered_signal()
         assert golden.dtype == np.int16

@@ -130,8 +130,8 @@ class TestSeriesStore:
         assert len(SeriesStore(str(merged)).load()) == 2
 
 
-def _concurrent_writer(args):
-    path, worker, width = args
+def _concurrent_writer(barrier, path, worker, width):
+    barrier.wait()
     store = SeriesStore(path)
     for i in range(25):
         store.record_point({
@@ -142,27 +142,37 @@ def _concurrent_writer(args):
             "units": i,
             "counters": {f"run.k{j}": j for j in range(width)},
         })
-    return worker
 
 
 class TestConcurrency:
     # lines of ~0.8 KB and ~3 KB: an append that spans two pages of the
     # page cache lands in more than one copy, and the wider the line,
-    # the likelier another writer's tail check sees it half done
+    # the likelier another writer's tail check sees it half done.  The
+    # writers start behind a barrier, so they do overlap (handed to a
+    # pool they seldom did).  Without the lock one wide trial tears
+    # only one time in four to ten, so the wide case runs 40 trials.
     @pytest.mark.parametrize("width", [50, 200])
     def test_concurrent_writers_never_tear_lines(self, tmp_path, width):
-        path = str(tmp_path / "series.jsonl")
-        with multiprocessing.Pool(4) as pool:
-            pool.map(
-                _concurrent_writer, [(path, w, width) for w in range(4)]
-            )
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        # every line parses — no interleaved partial writes
-        docs = [json.loads(line) for line in lines]
-        assert len(docs) == 100
-        assert len({d["digest"] for d in docs}) == 100
-        assert len(SeriesStore(path).load()) == 100
+        for trial in range(40 if width == 200 else 1):
+            path = str(tmp_path / f"series-{trial}.jsonl")
+            barrier = multiprocessing.Barrier(4, timeout=60)
+            writers = [
+                multiprocessing.Process(
+                    target=_concurrent_writer, args=(barrier, path, w, width)
+                )
+                for w in range(4)
+            ]
+            for proc in writers:
+                proc.start()
+            for proc in writers:
+                proc.join(timeout=60)
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            # every line parses — no interleaved partial writes
+            docs = [json.loads(line) for line in lines]
+            assert len(docs) == 100
+            assert len({d["digest"] for d in docs}) == 100
+            assert len(SeriesStore(path).load()) == 100
 
 
 class TestCampaignSeam:

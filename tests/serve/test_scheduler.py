@@ -56,6 +56,28 @@ class TestBasicRuns:
         assert all(r["decoded"] is True for r in out)
 
 
+class TestPoolFeed:
+    def test_two_shards_per_worker_in_flight(self):
+        # one shard runs and one waits in the pool's queue per worker,
+        # so a worker never idles while the parent absorbs
+        log = []
+        sched = BatchScheduler(
+            workers=2, shard_size=1,
+            events=lambda etype, payload: log.append(etype),
+        )
+        orig_tick = sched._tick
+
+        def tick(result, counters):
+            log.append("absorb")
+            orig_tick(result, counters)
+
+        sched._tick = tick
+        out = sched.run(units_for(12), task=square, encode=encode_result)
+        assert out == [{"value": i * i} for i in range(12)]
+        assert log[:log.index("absorb")].count("shard") == 4
+        assert log.count("shard") == 12
+
+
 class TestStoreShortCircuit:
     def test_second_run_is_all_hits(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))

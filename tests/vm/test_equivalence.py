@@ -18,8 +18,9 @@ exercising the VM at all.
 import pytest
 
 from repro.check import CampaignConfig, run_campaign
-from repro.core.run import run_app
-from repro.kernel.power import UniformFailureModel
+from repro.core.api import ProgramBuilder
+from repro.core.run import nv_state, run_app, run_program
+from repro.kernel.power import NoFailures, UniformFailureModel
 from repro.obs import metrics as M
 from tests.conftest import on_sim_path
 
@@ -95,3 +96,40 @@ def test_checker_verdicts_identical_on_all_paths(app, runtime):
     assert ref_vm_runs == 0
     assert runs > 0 and vm_runs == runs, "vm campaign ran the generator"
     assert vm == reference
+
+
+def _exit_from_loop():
+    """Task ``a`` transitions out of a loop whose variable shares the
+    name of an NV scalar; task ``b`` then reads that scalar."""
+    b = ProgramBuilder("exit_from_loop")
+    b.nv("i", init=7)
+    b.nv("x")
+    with b.task("a") as t:
+        with t.loop("i", 3):
+            with t.if_(t.v("i") >= 1):
+                t.transition("b")
+        t.transition("b")
+    with b.task("b") as t:
+        t.assign("x", t.v("i"))
+        t.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_loop_register_ends_with_its_task(runtime):
+    """A transition inside a loop ends the loop variable's scope: the
+    next task reads the NV scalar, and pays for reading it."""
+    observed = {}
+    for path in ("reference", "vm"):
+        with on_sim_path(path):
+            res = run_program(
+                _exit_from_loop(), runtime=runtime,
+                failure_model=NoFailures(), seed=1,
+            )
+        assert res.completed
+        observed[path] = (
+            nv_state(res, ("x",))["x"],
+            dict(sorted(res.metrics.__dict__.items())),
+        )
+    assert observed["vm"][0] == 7
+    assert observed["reference"] == observed["vm"]
