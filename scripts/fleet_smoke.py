@@ -3,8 +3,9 @@
 
 The full dance, against real processes:
 
-1. start the serve daemon (SQLite store backend, short lease TTL);
-2. start three fleet worker processes pulling shard leases over HTTP;
+1. start the serve daemon (short lease TTL);
+2. start three fleet worker processes pulling shard leases over HTTP,
+   all three writing one local ``--store`` (one SQLite file);
 3. submit a check campaign with ``--fleet`` routing;
 4. SIGKILL one worker while it holds a lease (all workers are
    SIGSTOPped while the board is read, so the lease cannot be released
@@ -13,9 +14,11 @@ The full dance, against real processes:
 5. SIGTERM the daemon mid-flight, restart it on the same port, and
    resubmit: the surviving workers reconnect through their backoff
    loop and the campaign resumes from the checkpoint + store;
-6. assert zero lost and zero double-counted units, and that the final
-   report is identical (modulo wall-clock fields) to an inline
-   single-process run of the same campaign.
+6. assert zero lost and zero double-counted units, and that every
+   entry of the workers' shared store reads back intact, though one of
+   its three writers was SIGKILLed;
+7. assert that the final report is identical (modulo wall-clock
+   fields) to an inline single-process run of the same campaign.
 
 Exit status 0 only if every step holds.  Used by the CI ``fleet-smoke``
 job; runs locally with ``python scripts/fleet_smoke.py``.
@@ -43,7 +46,7 @@ def comparable(report):
     doc = {k: v for k, v in report.items() if k not in VOLATILE}
     doc["config"] = {
         k: v for k, v in report.get("config", {}).items()
-        if k not in ("store_dir", "store_backend", "checkpoint")
+        if k not in ("store_dir", "checkpoint")
     }
     return doc
 
@@ -68,7 +71,7 @@ def start_daemon(root, port):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "start",
          "--root", root, "--port", str(port),
-         "--store-backend", "sqlite", "--fleet-ttl", "2", "--drain", "5"],
+         "--fleet-ttl", "2", "--drain", "5"],
         env=_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, cwd=REPO,
     )
@@ -80,10 +83,10 @@ def start_daemon(root, port):
     return proc, url
 
 
-def start_worker(url):
+def start_worker(url, store):
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "fleet", "worker",
-         "--daemon", url, "--poll", "0.1", "--quiet"],
+         "--daemon", url, "--store", store, "--poll", "0.1", "--quiet"],
         env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         cwd=REPO,
     )
@@ -132,17 +135,19 @@ def main() -> int:
     sys.path.insert(0, os.path.join(REPO, "src"))
     from repro.check import CampaignConfig, run_campaign
     from repro.serve.daemon import ServeClient
+    from repro.serve.store import ResultStore
 
     tmp = tempfile.mkdtemp(prefix="fleet-smoke-")
     root = os.path.join(tmp, "serve")
+    worker_store = os.path.join(tmp, "worker-store")
     port = _free_port()
     workers = []
     daemon = None
     try:
-        print("== 1. daemon (sqlite store) + 3 fleet workers")
+        print("== 1. daemon + 3 fleet workers sharing one local store")
         daemon, url = start_daemon(root, port)
         client = ServeClient(url)
-        workers = [start_worker(url) for _ in range(3)]
+        workers = [start_worker(url, worker_store) for _ in range(3)]
 
         print("== 2. fleet campaign submitted over HTTP")
         job = client.submit("check", CAMPAIGN, fleet=True)
@@ -197,8 +202,19 @@ def main() -> int:
             progress
         )
         assert os.path.exists(os.path.join(root, "store", "store.sqlite3")), (
-            "store is not the sqlite backend"
+            "the daemon's store is not one SQLite file"
         )
+        shared = ResultStore(worker_store)
+        try:
+            keys = [key for _, _, key in shared.backend.entries()]
+            intact = sum(shared.get(key) is not None for key in keys)
+            corrupt = shared.corrupt
+        finally:
+            shared.close()
+        print(f"   workers' shared store: {intact} of {len(keys)} entries "
+              f"read back, {corrupt} corrupt")
+        assert keys, "the workers wrote nothing to their shared store"
+        assert intact == len(keys) and corrupt == 0, (intact, corrupt)
 
         print("== 7. report must match an inline single-process run")
         inline = run_campaign(CampaignConfig(**CAMPAIGN)).to_json()

@@ -196,10 +196,6 @@ def _add_check_parser(sub) -> None:
     p.add_argument("--store", default=None, metavar="DIR",
                    help="content-addressed result store: cache hits "
                         "short-circuit simulation")
-    p.add_argument("--store-backend", default=None,
-                   choices=["fs", "sqlite"],
-                   help="store layout (default: sniff the directory, "
-                        "else $REPRO_STORE_BACKEND, else fs)")
     p.add_argument("--checkpoint", default=None, metavar="FILE",
                    help="journal progress to FILE; an interrupted "
                         "campaign resumes from it on re-run")
@@ -238,7 +234,6 @@ def _cmd_check(args) -> int:
         shrink=not args.no_shrink,
         progress=True,
         store_dir=args.store,
-        store_backend=args.store_backend,
         checkpoint=args.checkpoint,
     )
     _activate_series(args.series)
@@ -274,10 +269,6 @@ def _add_fuzz_parser(sub) -> None:
     p.add_argument("--store", default=None, metavar="DIR",
                    help="content-addressed result store: cache hits "
                         "short-circuit simulation")
-    p.add_argument("--store-backend", default=None,
-                   choices=["fs", "sqlite"],
-                   help="store layout (default: sniff the directory, "
-                        "else $REPRO_STORE_BACKEND, else fs)")
     p.add_argument("--checkpoint", default=None, metavar="FILE",
                    help="journal progress to FILE; an interrupted "
                         "campaign resumes from it on re-run")
@@ -311,7 +302,6 @@ def _cmd_fuzz(args) -> int:
         shrink=not args.no_shrink,
         progress=True,
         store_dir=args.store,
-        store_backend=args.store_backend,
         checkpoint=args.checkpoint,
     )
     _activate_series(args.series)

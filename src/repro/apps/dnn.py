@@ -26,13 +26,13 @@ from typing import List, Tuple
 
 from repro.core.api import ProgramBuilder, TaskBuilder
 
-#: geometry of the 5-layer network (8x8 input, 4 classes)
+#: geometry of the 5-layer network (12x12 input, 4 classes)
 IMG = 12
 K1 = 3
-C1_OUT = IMG - K1 + 1          # 6x6
+C1_OUT = IMG - K1 + 1          # 10x10
 K2 = 3
-C2_OUT = C1_OUT - K2 + 1       # 4x4
-FLAT = C2_OUT * C2_OUT         # 16
+C2_OUT = C1_OUT - K2 + 1       # 8x8
+FLAT = C2_OUT * C2_OUT         # 64
 CLASSES = 4
 
 

@@ -9,7 +9,7 @@ The paper's end-to-end workload (Figure 9), divided into 11 tasks:
     has been captured the whole block never repeats;
 3.  ``t_capture``  — image capture (``Single``: a successful capture
     need not be repeated), simulated as in the paper;
-4.  ``t_fill``     — expands the captured luminance into the 8x8 input
+4.  ``t_fill``     — expands the captured luminance into the 12x12 input
     image (CPU writes into NV — protected by regional privatization
     under EaseIO);
 5-9. DNN layers (conv -> ReLU -> conv -> FC -> argmax) on LEA + DMA,
@@ -79,7 +79,7 @@ def build(
         t.transition("t_fill")
 
     with b.task("t_fill") as t:
-        # expand the luminance into a deterministic 8x8 test card
+        # expand the luminance into a deterministic 12x12 test card
         with t.loop("i", dnn.IMG * dnn.IMG):
             t.assign(
                 t.at("act_a", t.v("i")),

@@ -73,9 +73,6 @@ class CampaignConfig:
     #: per-schedule verdicts are cached and re-served on byte-identical
     #: (program, runtime, plan, fastpath, semantics-version) keys
     store_dir: Optional[str] = None
-    #: physical store layout: "fs" | "sqlite" | None (sniff what's on
-    #: disk, else honour REPRO_STORE_BACKEND, else "fs")
-    store_backend: Optional[str] = None
     #: checkpoint journal path (None: no checkpoint) — an interrupted
     #: campaign re-run with the same config resumes where it died
     checkpoint: Optional[str] = None

@@ -140,7 +140,6 @@ def _cmd_sweep(args) -> int:
         verify_replay=not args.no_verify,
         progress=True,
         store_dir=args.store,
-        store_backend=args.store_backend,
         checkpoint=args.checkpoint,
     )
     for app in cfg.apps:
@@ -203,9 +202,6 @@ def main(argv=None) -> int:
                       help="skip the per-unit record->replay verification")
     p_sw.add_argument("--store", default=None, metavar="DIR",
                       help="content-addressed result store")
-    p_sw.add_argument("--store-backend", default=None,
-                      choices=["fs", "sqlite"],
-                      help="store layout (default: sniff/env/fs)")
     p_sw.add_argument("--checkpoint", default=None, metavar="FILE",
                       help="journal progress; interrupted sweeps resume")
     p_sw.add_argument("--json", action="store_true")

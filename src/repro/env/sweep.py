@@ -61,8 +61,6 @@ class SweepConfig:
     verify_replay: bool = True
     progress: bool = False
     store_dir: Optional[str] = None
-    #: physical store layout: "fs" | "sqlite" | None (sniff/env/fs)
-    store_backend: Optional[str] = None
     checkpoint: Optional[str] = None
 
 

@@ -9,7 +9,7 @@ Examples::
 
     python -m repro fleet worker --daemon http://127.0.0.1:7341
     python -m repro fleet worker --daemon http://host:7341 \\
-        --store /shared/store --store-backend sqlite --max-idle 60
+        --store /var/tmp/repro-store --max-idle 60
     python -m repro fleet status --daemon http://127.0.0.1:7341
 
 A worker survives daemon restarts: while the daemon is down it polls
@@ -36,7 +36,7 @@ def _cmd_worker(args) -> int:
     if args.store:
         from repro.serve.store import ResultStore
 
-        store = ResultStore(args.store, backend=args.store_backend)
+        store = ResultStore(args.store)
     client = ServeClient(args.daemon, timeout_s=args.timeout)
     worker = FleetWorker(
         client,
@@ -56,7 +56,11 @@ def _cmd_worker(args) -> int:
             signal.signal(sig, _stop)
         except ValueError:  # pragma: no cover - non-main thread
             pass
-    stats = worker.run(max_leases=args.max_leases)
+    try:
+        stats = worker.run(max_leases=args.max_leases)
+    finally:
+        if store is not None:
+            store.close()
     print(f"fleet: worker done {json.dumps(stats, sort_keys=True)}",
           flush=True)
     return 0
@@ -82,12 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=30.0,
                    help="per-request timeout in seconds (default 30)")
     p.add_argument("--store", default=None, metavar="DIR",
-                   help="local shared content-addressed store: cached "
+                   help="content-addressed store on a local filesystem, "
+                        "shareable by the workers of one host: cached "
                         "units short-circuit execution")
-    p.add_argument("--store-backend", default=None,
-                   choices=["fs", "sqlite"],
-                   help="store layout (sqlite lets N workers on one "
-                        "host share the cache read-write)")
     p.add_argument("--max-units", type=int, default=None,
                    help="ask for at most N units per shard lease")
     p.add_argument("--max-leases", type=int, default=None,

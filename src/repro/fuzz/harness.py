@@ -84,9 +84,6 @@ class FuzzConfig:
     #: per-program differential summaries are cached by (seed, index,
     #: runtimes, limit, fastpath, semantics/lint version)
     store_dir: Optional[str] = None
-    #: physical store layout: "fs" | "sqlite" | None (sniff what's on
-    #: disk, else honour REPRO_STORE_BACKEND, else "fs")
-    store_backend: Optional[str] = None
     #: checkpoint journal path (None: no checkpoint) — an interrupted
     #: fuzz run re-run with the same config resumes where it died
     checkpoint: Optional[str] = None

@@ -121,6 +121,10 @@ class SeriesStore:
         #: points appended / skipped as duplicates by *this* process
         self.appended = 0
         self.deduped = 0
+        #: digests of the lines before ``_offset``: what this instance
+        #: has parsed of the file, so an append reads only what is new
+        self._seen: set = set()
+        self._offset = 0
 
     # -- reading ----------------------------------------------------------
 
@@ -153,10 +157,36 @@ class SeriesStore:
             points.append(doc)
         return points
 
-    def digests(self) -> set:
-        return {p["digest"] for p in self.load()}
-
     # -- writing ----------------------------------------------------------
+
+    def _catch_up(self, fd: int) -> bytes:
+        """Note the digests of the lines appended since the last call.
+
+        The caller holds the ``flock``.  Only complete lines are
+        consumed; the unterminated tail (a write torn by a crash) is
+        returned and read again next time.  A file shorter than what
+        was already read has been replaced: start over from byte 0.
+        """
+        size = os.fstat(fd).st_size
+        if size < self._offset:
+            self._seen.clear()
+            self._offset = 0
+        chunks = []
+        pos = self._offset
+        while pos < size:
+            chunk = os.pread(fd, size - pos, pos)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            pos += len(chunk)
+        data = b"".join(chunks)
+        cut = data.rfind(b"\n") + 1
+        for raw in data[:cut].splitlines():
+            digest = _line_digest(raw)
+            if digest is not None:
+                self._seen.add(digest)
+        self._offset += cut
+        return data[cut:]
 
     def record_point(
         self, doc: Mapping[str, object]
@@ -166,9 +196,10 @@ class SeriesStore:
         The write is a single ``os.write`` on an ``O_APPEND`` fd.  That
         alone does not keep concurrent recorders apart: the tail check
         below can see another process's multi-page append half done and
-        put a newline in front of a good line.  So the tail check and
-        the write run under an exclusive ``flock`` on the file, which
-        every recorder takes.
+        put a newline in front of a good line, and two recorders of one
+        point could both miss the other's copy.  So the dedup check,
+        the tail check and the write run under an exclusive ``flock``
+        on the file, which every recorder takes.
         """
         point = dict(doc)
         point.setdefault("schema", SERIES_SCHEMA)
@@ -177,11 +208,6 @@ class SeriesStore:
         line = (_canonical(point) + "\n").encode("utf-8")
         reg = ambient()
         with self._lock:
-            if point["digest"] in self.digests():
-                self.deduped += 1
-                if reg is not None:
-                    reg.inc("obs.series.deduped")
-                return None
             directory = os.path.dirname(self.path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
@@ -191,21 +217,42 @@ class SeriesStore:
             try:
                 # released when the fd closes
                 fcntl.flock(fd, fcntl.LOCK_EX)
-                # a writer that died mid-append leaves a torn line with
-                # no newline; start on a fresh line so this point parses
-                # (O_APPEND still lands the write at the end)
-                end = os.lseek(fd, 0, os.SEEK_END)
-                if end:
-                    os.lseek(fd, end - 1, os.SEEK_SET)
-                    if os.read(fd, 1) != b"\n":
-                        line = b"\n" + line
+                tail = self._catch_up(fd)
+                # load() reads an unterminated tail as a line too
+                tail_digest = _line_digest(tail) if tail else None
+                if (
+                    point["digest"] in self._seen
+                    or point["digest"] == tail_digest
+                ):
+                    self.deduped += 1
+                    if reg is not None:
+                        reg.inc("obs.series.deduped")
+                    return None
+                if tail:
+                    # a writer that died mid-append left a torn line
+                    # with no newline; start on a fresh line so this
+                    # point parses (O_APPEND still lands it at the end)
+                    line = b"\n" + line
                 os.write(fd, line)
+                self._seen.update({tail_digest, point["digest"]} - {None})
+                self._offset += len(tail) + len(line)
             finally:
                 os.close(fd)
             self.appended += 1
             if reg is not None:
                 reg.inc("obs.series.appended")
         return point
+
+
+def _line_digest(raw: bytes) -> Optional[str]:
+    """The digest a series line carries, or None for a line
+    :meth:`SeriesStore.load` would skip."""
+    try:
+        doc = json.loads(raw)
+    except ValueError:
+        return None
+    digest = doc.get("digest") if isinstance(doc, dict) else None
+    return digest if isinstance(digest, str) else None
 
 
 # -- process-wide activation ------------------------------------------------

@@ -6,10 +6,11 @@ unit is re-simulated.  This package makes campaign work *durable* and
 *addressable*:
 
 :mod:`repro.serve.store`
-    a content-addressed, on-disk result store keyed by a canonical
-    digest of (program source, runtime, failure plan, fastpath flag,
-    semantics/lint version) — atomic writes, dedup, corruption treated
-    as a miss, ``gc`` eviction, hit/miss metrics;
+    a content-addressed result store in one WAL-mode SQLite file,
+    keyed by a canonical digest of (program source, runtime, failure
+    plan, fastpath flag, semantics/lint version) — atomic writes,
+    dedup, corruption treated as a miss, ``gc`` eviction, hit/miss
+    metrics;
 
 :mod:`repro.serve.scheduler`
     a batch scheduler that shards a campaign's work units across a

@@ -105,7 +105,6 @@ class JobManager:
         self,
         root: str,
         store_dir: Optional[str] = None,
-        store_backend: Optional[str] = None,
         fleet_ttl_s: Optional[float] = None,
         fleet_max_units: Optional[int] = None,
     ) -> None:
@@ -114,10 +113,7 @@ class JobManager:
         self.checkpoints_dir = os.path.join(self.root, "checkpoints")
         os.makedirs(self.jobs_dir, exist_ok=True)
         os.makedirs(self.checkpoints_dir, exist_ok=True)
-        self.store = ResultStore(
-            store_dir or os.path.join(self.root, "store"),
-            backend=store_backend,
-        )
+        self.store = ResultStore(store_dir or os.path.join(self.root, "store"))
         #: shard leases for jobs submitted with ``fleet=True``
         self.board = LeaseBoard(
             ttl_s=fleet_ttl_s if fleet_ttl_s is not None else DEFAULT_TTL_S,
@@ -293,7 +289,6 @@ class JobManager:
         cfg = dataclasses.replace(
             cfg,
             store_dir=self.store.root,
-            store_backend=self.store.backend.name,
             checkpoint=os.path.join(
                 self.checkpoints_dir, job.campaign + ".jsonl"
             ),

@@ -64,7 +64,6 @@ def _cmd_start(args) -> int:
         host=args.host,
         port=args.port,
         store_dir=args.store,
-        store_backend=args.store_backend,
         fleet_ttl_s=args.fleet_ttl,
         fleet_max_units=args.fleet_max_units,
         verbose=args.verbose,
@@ -224,10 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"listen port (default {DEFAULT_PORT}; 0 = any)")
     p.add_argument("--store", default=None,
                    help="result store directory (default <root>/store)")
-    p.add_argument("--store-backend", default=None,
-                   choices=["fs", "sqlite"],
-                   help="store layout (default: sniff the directory, "
-                        "else $REPRO_STORE_BACKEND, else fs)")
     p.add_argument("--fleet-ttl", type=float, default=None,
                    help="fleet lease TTL in seconds (default 30)")
     p.add_argument("--fleet-max-units", type=int, default=None,

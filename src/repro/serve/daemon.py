@@ -283,7 +283,6 @@ def make_server(
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
     store_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
     fleet_ttl_s: Optional[float] = None,
     fleet_max_units: Optional[int] = None,
     verbose: bool = False,
@@ -292,7 +291,6 @@ def make_server(
     manager = JobManager(
         root,
         store_dir=store_dir,
-        store_backend=store_backend,
         fleet_ttl_s=fleet_ttl_s,
         fleet_max_units=fleet_max_units,
     )

@@ -33,7 +33,7 @@ class CampaignKind:
 
     ``name`` is the registry key.  ``config`` is its config dataclass
     (the driver reads ``workers``, ``progress``, ``store_dir``,
-    ``store_backend``, ``checkpoint``) and ``report`` its report type
+    ``checkpoint``) and ``report`` its report type
     (``ok``, ``to_json``, ``from_json``, ``render_text``).
     ``digest(cfg)`` keys its checkpoint and ``unit_key(cfg, payload)``
     one unit's store entry.  ``context(cfg)`` builds what every unit
@@ -140,10 +140,11 @@ def run_kind(
             kind.label(cfg), len(payloads), every=kind.every,
             progress=cfg.progress,
         )
-    store = (
-        ResultStore(cfg.store_dir, backend=cfg.store_backend)
-        if cfg.store_dir else None
-    )
+    # The connection opens on first use, in this process, before the
+    # pool forks.  SQLite forbids using a connection across fork(); pool
+    # workers never touch the store (this process looks keys up and
+    # persists results), so the forked copy is never used.
+    store = ResultStore(cfg.store_dir) if cfg.store_dir else None
     # results come back re-slotted by unit index whatever the worker
     # timing, so a fold that picks the *first* failure is deterministic
     scheduler = BatchScheduler(
@@ -189,6 +190,9 @@ def run_kind(
             partial=True,
         )
         raise
+    finally:
+        if store is not None:
+            store.close()
     return fold(results, notes, partial=False)
 
 

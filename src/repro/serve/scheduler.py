@@ -8,7 +8,7 @@ payload + optional store key) and a worker task; the scheduler then
    of the *same* campaign from the checkpoint file (identity-checked
    via the campaign digest in the header);
 2. **short-circuits** units whose result is already in the
-   content-addressed store — a cache hit costs one file read, no
+   content-addressed store — a cache hit costs one database read, no
    simulation;
 3. **shards** the remaining units across a ``multiprocessing`` pool
    (two shards per worker in flight, one running and one queued, results

@@ -23,23 +23,31 @@ everything a result depends on:
   :data:`STORE_VERSION` — bumping any of them orphans every stale
   entry instead of serving verdicts computed under old rules.
 
-Durability and backends
------------------------
+Layout and durability
+---------------------
 
-Physical placement is pluggable (:mod:`repro.serve.backends`): the
-original one-file-per-entry FS layout, or a single WAL-mode SQLite
-database for fleets of worker processes sharing one cache.  Whatever
-the backend, the semantics here are identical: writes are atomic and
-idempotent, and anything unreadable on the way back (truncation, bad
-JSON, digest mismatch) is *quarantined* — the entry is deleted,
-counted in ``corrupt``, and reported as a miss, so the caller simply
-re-simulates and the rewrite heals the store.
+Every entry is one row of a single WAL-mode SQLite file,
+``<root>/store.sqlite3``, keyed by digest.  N processes on one host
+can share that file read-write: writers queue on the database lock
+(``busy_timeout``) instead of corrupting each other, and a put is one
+``INSERT OR IGNORE``, so same-key races are idempotent and exactly
+one writer counts the write.  WAL needs shared memory between its
+processes, so the root must live on a local filesystem, not a network
+mount.  A commit (``synchronous=NORMAL``) survives the death of the
+writing process, not an OS crash.  Anything unreadable on the way back
+(a truncated or unparseable document, a digest mismatch) is
+*quarantined*: the entry is deleted, counted in ``corrupt``, and
+reported as a miss, so the caller simply re-simulates and the rewrite
+heals the store.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sqlite3
+import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -47,7 +55,6 @@ from repro import fastpath
 from repro.ir.lint import LINT_VERSION
 from repro.ir.semantics import SEMANTICS_VERSION
 from repro.obs import metrics as obs_metrics
-from repro.serve.backends import FSBackend, StoreBackend, make_backend
 
 #: layout/keying version of the store itself
 STORE_VERSION = 1
@@ -131,20 +138,132 @@ def campaign_digest(kind: str, **fields: object) -> str:
 # -- the store -------------------------------------------------------------
 
 
-class ResultStore:
-    """A content-addressed result store rooted at one directory.
+class SQLiteBackend:
+    """The store's physical layout: one WAL-mode SQLite file.
 
-    ``backend`` names the physical layout (``"fs"`` | ``"sqlite"``);
-    None resolves it from what's already on disk, then the
-    ``REPRO_STORE_BACKEND`` environment variable, then the FS default.
+    Documents are opaque text here; :class:`ResultStore` owns their
+    meaning.  One connection per instance, opened on first use and
+    shared by every thread under ``_lock`` (a daemon's request and job
+    threads use one store); other processes open their own and
+    serialize on the database lock.
     """
 
-    def __init__(self, root: str, backend: Optional[str] = None) -> None:
-        self.backend: StoreBackend = make_backend(root, backend)
-        self.root = getattr(self.backend, "root")
-        if isinstance(self.backend, FSBackend):
-            # legacy seam: tests and tools poke FS entries directly
-            self.objects_dir = self.backend.objects_dir
+    name = "sqlite"
+
+    #: how long a writer waits on a locked database before erroring
+    busy_timeout_ms = 30_000
+
+    def __init__(self, root: str) -> None:
+        self.root = os.path.abspath(root)
+        self.path = os.path.join(self.root, "store.sqlite3")
+        self._lock = threading.Lock()
+        self._db: Optional[sqlite3.Connection] = None
+
+    def _conn(self) -> sqlite3.Connection:
+        """The open connection; the caller holds ``_lock``."""
+        if self._db is None:
+            os.makedirs(self.root, exist_ok=True)
+            conn = sqlite3.connect(
+                self.path, timeout=30.0, check_same_thread=False
+            )
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS objects ("
+                " key TEXT PRIMARY KEY,"
+                " saved_at REAL NOT NULL,"
+                " size INTEGER NOT NULL,"
+                " doc TEXT NOT NULL)"
+            )
+            conn.commit()
+            self._db = conn
+        return self._db
+
+    def read(self, key: str) -> Optional[str]:
+        """The raw document for ``key``, or None when absent."""
+        with self._lock:
+            try:
+                row = self._conn().execute(
+                    "SELECT doc FROM objects WHERE key = ?", (key,)
+                ).fetchone()
+            except sqlite3.Error:
+                return None
+        return row[0] if row is not None else None
+
+    def write(self, key: str, document: str) -> bool:
+        """Publish ``document`` under ``key``; False when one exists
+        (entries are immutable, so the write is skipped)."""
+        with self._lock:
+            conn = self._conn()
+            cur = conn.execute(
+                "INSERT OR IGNORE INTO objects (key, saved_at, size, doc) "
+                "VALUES (?, ?, ?, ?)",
+                (key, time.time(), len(document.encode("utf-8")), document),
+            )
+            conn.commit()
+        return cur.rowcount > 0
+
+    def exists(self, key: str) -> bool:
+        with self._lock:
+            row = self._conn().execute(
+                "SELECT 1 FROM objects WHERE key = ?", (key,)
+            ).fetchone()
+        return row is not None
+
+    def remove(self, key: str) -> bool:
+        """Delete the entry; True when something was removed."""
+        with self._lock:
+            conn = self._conn()
+            cur = conn.execute("DELETE FROM objects WHERE key = ?", (key,))
+            conn.commit()
+        return cur.rowcount > 0
+
+    def entries(self) -> List[Tuple[float, int, str]]:
+        """``(saved_at, size_bytes, key)`` for every stored entry."""
+        with self._lock:
+            rows = self._conn().execute(
+                "SELECT saved_at, size, key FROM objects"
+            ).fetchall()
+        return [(float(t), int(s), str(k)) for t, s, k in rows]
+
+    def compact(self) -> int:
+        """WAL checkpoint + VACUUM; returns file bytes reclaimed."""
+        before = self.file_bytes()
+        with self._lock:
+            conn = self._conn()
+            try:
+                conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+                conn.execute("VACUUM")
+                conn.commit()
+            except sqlite3.Error:
+                return 0
+        return max(0, before - self.file_bytes())
+
+    def file_bytes(self) -> int:
+        """On-disk footprint: the database, its WAL and shared memory."""
+        total = 0
+        for suffix in ("", "-wal", "-shm"):
+            try:
+                total += os.path.getsize(self.path + suffix)
+            except OSError:
+                pass
+        return total
+
+    def close(self) -> None:
+        """Close the connection; the next call opens a new one."""
+        with self._lock:
+            if self._db is not None:
+                self._db.close()
+                self._db = None
+
+
+class ResultStore:
+    """A content-addressed result store rooted at one directory."""
+
+    def __init__(self, root: str) -> None:
+        self.backend = SQLiteBackend(root)
+        self.root = self.backend.root
         # process-local traffic counters (also folded into the ambient
         # obs registry, when one is collecting)
         self.hits = 0
@@ -197,12 +316,8 @@ class ResultStore:
         """Store ``result`` under ``key``; dedup if already present.
 
         Returns True when a new entry was written.  Writes are atomic
-        and same-key races idempotent, whatever the backend.
+        and same-key races idempotent.
         """
-        if self.backend.exists(key):
-            self.dedup += 1
-            self._inc("dedup")
-            return False
         doc = {
             "digest": key,
             "saved_at": time.time(),
@@ -211,7 +326,7 @@ class ResultStore:
         }
         doc.update(_versions())
         if not self.backend.write(key, json.dumps(doc, sort_keys=True)):
-            # lost a same-key race to another writer: that's a dedup
+            # already stored, by this process or a racing one
             self.dedup += 1
             self._inc("dedup")
             return False
@@ -242,10 +357,9 @@ class ResultStore:
         Always oldest first: ``max_age_s`` drops entries older than the
         horizon, ``max_entries`` keeps at most N newest, ``max_bytes``
         keeps the newest entries whose cumulative size fits the budget.
-        After eviction the backend compacts itself (a no-op for FS;
-        WAL checkpoint + VACUUM for SQLite), so ``bytes_freed`` is
-        logical entry bytes and ``bytes_compacted`` physical file bytes
-        actually returned to the filesystem.
+        After eviction the file is compacted (WAL checkpoint + VACUUM),
+        so ``bytes_freed`` is logical entry bytes and ``bytes_compacted``
+        physical file bytes actually returned to the filesystem.
         """
         entries = sorted(self._entries())
         victims: List[Tuple[float, int, str]] = []

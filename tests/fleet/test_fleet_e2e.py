@@ -30,7 +30,7 @@ def _comparable(doc):
                                                      "telemetry")}
     doc["config"] = {
         k: v for k, v in (doc.get("config") or {}).items()
-        if k not in ("store_dir", "store_backend", "checkpoint")
+        if k not in ("store_dir", "checkpoint")
     }
     return doc
 
@@ -39,7 +39,7 @@ def _comparable(doc):
 def daemon(tmp_path):
     server = make_server(
         str(tmp_path / "serve"), port=0, fleet_ttl_s=0.4,
-        fleet_max_units=2, store_backend="sqlite",
+        fleet_max_units=2,
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -113,6 +113,36 @@ class TestSeriesStore:
         ) is not None
         assert len(fresh.load()) == 2
 
+    def test_an_append_parses_only_new_lines(self, store, monkeypatch):
+        for i in range(300):
+            store.record_point({"kind": "campaign", "rev": "r",
+                                "label": "t", "campaign": f"c{i}",
+                                "units": i})
+        parsed = []
+        loads = obs_series.json.loads
+
+        def counting_loads(raw, *args, **kwargs):
+            text = raw if isinstance(raw, str) else raw.decode("latin-1")
+            if SERIES_SCHEMA in text:  # a series line, not another caller
+                parsed.append(text)
+            return loads(raw, *args, **kwargs)
+
+        monkeypatch.setattr(obs_series.json, "loads", counting_loads)
+        assert store.record_point({"kind": "campaign", "rev": "r",
+                                   "label": "t", "campaign": "c300",
+                                   "units": 300}) is not None
+        assert len(parsed) <= 2
+
+    def test_another_instances_append_is_deduped(self, store):
+        other = SeriesStore(store.path)
+        store.record_point({"kind": "campaign", "rev": "r", "label": "t",
+                            "campaign": "b", "units": 1})
+        late = {"kind": "campaign", "rev": "r", "label": "t",
+                "campaign": "a", "units": 2}
+        assert other.record_point(late) is not None
+        assert store.record_point(dict(late)) is None
+        assert len(store.load()) == 2
+
     def test_merged_fleet_files_read_as_a_set(self, tmp_path):
         a = SeriesStore(str(tmp_path / "a.jsonl"))
         b = SeriesStore(str(tmp_path / "b.jsonl"))
@@ -173,6 +203,43 @@ class TestConcurrency:
             assert len(docs) == 100
             assert len({d["digest"] for d in docs}) == 100
             assert len(SeriesStore(path).load()) == 100
+
+
+SAME_POINT = {"kind": "campaign", "rev": "r", "label": "t",
+              "campaign": "same", "units": 1}
+
+
+def _same_point_writer(barrier, path):
+    barrier.wait()
+    SeriesStore(path).record_point(SAME_POINT)
+
+
+class TestConcurrentDedup:
+    # 200 earlier points make each writer's catch-up take a while, so
+    # the writers do reach their dedup checks together: with the check
+    # outside the lock, most trials appended the point more than once
+    def test_racing_writers_of_one_point_append_it_once(self, tmp_path):
+        for trial in range(10):
+            path = str(tmp_path / f"series-{trial}.jsonl")
+            earlier = SeriesStore(path)
+            for i in range(200):
+                earlier.record_point(dict(SAME_POINT, campaign=f"c{i}"))
+            barrier = multiprocessing.Barrier(4, timeout=60)
+            writers = [
+                multiprocessing.Process(
+                    target=_same_point_writer, args=(barrier, path)
+                )
+                for _ in range(4)
+            ]
+            for proc in writers:
+                proc.start()
+            for proc in writers:
+                proc.join(timeout=60)
+                assert proc.exitcode == 0
+            with open(path) as fh:
+                docs = [json.loads(line) for line in fh]
+            assert len(docs) == 201
+            assert sum(d["campaign"] == "same" for d in docs) == 1
 
 
 class TestCampaignSeam:

@@ -1,33 +1,26 @@
-"""Backend conformance: every StoreBackend obeys the same contract.
+"""The store's physical layout: one WAL-mode SQLite file.
 
 The store layer's semantics (dedup, quarantine-and-heal, gc) are
-tested through ``ResultStore`` in ``test_store.py`` — parametrized
-over backends.  This file tests the backend *interface* itself:
-selection/sniffing rules, atomic publication, idempotent same-key
-races, and (for SQLite) real multi-process concurrent writers.
+tested through ``ResultStore`` in ``test_store.py``.  This file tests
+the placement class itself: atomic publication, idempotent same-key
+races, real multi-process concurrent writers, and the file layout.
 """
 
 import json
 import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
-from repro.errors import ReproError
-from repro.serve.backends import (
-    BACKEND_ENV_VAR,
-    FSBackend,
-    SQLiteBackend,
-    make_backend,
-    resolve_backend_name,
-    sniff_backend,
-)
-from repro.serve.store import ResultStore, unit_key
+from repro.serve.store import ResultStore, SQLiteBackend, unit_key
 
 
-@pytest.fixture(params=["fs", "sqlite"])
-def backend(request, tmp_path):
-    b = make_backend(str(tmp_path / "store"), request.param)
+# one param: the test ids name the store's one layout
+@pytest.fixture(params=["sqlite"])
+def backend(tmp_path):
+    b = SQLiteBackend(str(tmp_path / "store"))
     yield b
     b.close()
 
@@ -72,51 +65,8 @@ class TestInterfaceConformance:
         assert backend.compact() >= 0
 
 
-class TestSelection:
-    def test_explicit_name_wins(self, tmp_path):
-        assert isinstance(
-            make_backend(str(tmp_path / "a"), "sqlite"), SQLiteBackend
-        )
-        assert isinstance(make_backend(str(tmp_path / "b"), "fs"), FSBackend)
-
-    def test_unknown_name_rejected(self, tmp_path):
-        with pytest.raises(ReproError):
-            resolve_backend_name(str(tmp_path), "leveldb")
-
-    def test_sniffing_recognizes_existing_roots(self, tmp_path):
-        fs_root = str(tmp_path / "fs")
-        sq_root = str(tmp_path / "sq")
-        make_backend(fs_root, "fs").write("f" * 64, "doc")
-        make_backend(sq_root, "sqlite").write("g" * 64, "doc")
-        assert sniff_backend(fs_root) == "fs"
-        assert sniff_backend(sq_root) == "sqlite"
-        assert sniff_backend(str(tmp_path / "missing")) is None
-
-    def test_sniffing_outranks_the_env_var(self, tmp_path, monkeypatch):
-        # an existing fs store must not be shadowed by an empty sqlite
-        root = str(tmp_path / "store")
-        store = ResultStore(root, backend="fs")
-        key = unit_key("test", n=1)
-        store.put(key, {"v": 1})
-        monkeypatch.setenv(BACKEND_ENV_VAR, "sqlite")
-        again = ResultStore(root)
-        assert again.backend.name == "fs"
-        assert again.get(key) == {"v": 1}
-
-    def test_env_var_applies_to_fresh_roots(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "sqlite")
-        store = ResultStore(str(tmp_path / "fresh"))
-        assert store.backend.name == "sqlite"
-        store.close()
-
-    def test_fresh_root_defaults_to_fs(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        store = ResultStore(str(tmp_path / "fresh"))
-        assert store.backend.name == "fs"
-
-
-def _writer(root, backend, worker, n, out):
-    store = ResultStore(root, backend=backend)
+def _writer(root, worker, n, out):
+    store = ResultStore(root)
     written = 0
     for i in range(n):
         key = unit_key("concurrency", n=i)
@@ -127,7 +77,7 @@ def _writer(root, backend, worker, n, out):
 
 
 class TestMultiProcessConcurrency:
-    @pytest.mark.parametrize("backend_name", ["fs", "sqlite"])
+    @pytest.mark.parametrize("backend_name", ["sqlite"])
     def test_concurrent_writers_of_shared_keys(self, tmp_path, backend_name):
         """N processes hammering the same key set: exactly one write
         wins per key, every entry is intact afterwards."""
@@ -136,23 +86,21 @@ class TestMultiProcessConcurrency:
         out = multiprocessing.Queue()
         procs = [
             multiprocessing.Process(
-                target=_writer, args=(root, backend_name, w, n_units, out)
+                target=_writer, args=(root, w, n_units, out)
             )
             for w in range(n_procs)
         ]
         for p in procs:
             p.start()
+        # drain the queue before joining: a writer blocks on a full pipe
+        written = [out.get(timeout=60)[1] for _ in procs]
         for p in procs:
             p.join(60)
             assert p.exitcode == 0
-        total_written = sum(out.get()[1] for _ in procs)
-        # nobody lost a unit; with sqlite the INSERT OR IGNORE makes
-        # the write accounting exactly-once as well (fs writers can
-        # both win an os.replace race — identical content, so benign)
-        assert total_written >= n_units
-        if backend_name == "sqlite":
-            assert total_written == n_units
-        store = ResultStore(root, backend=backend_name)
+        # INSERT OR IGNORE makes the write accounting exactly-once
+        assert sum(written) == n_units
+        store = ResultStore(root)
+        assert store.backend.name == backend_name
         for i in range(n_units):
             doc = store.get(unit_key("concurrency", n=i))
             assert doc == {"i": i, "payload": list(range(50))}
@@ -163,21 +111,74 @@ class TestMultiProcessConcurrency:
 class TestSQLiteSpecifics:
     def test_wal_mode_is_active(self, tmp_path):
         backend = SQLiteBackend(str(tmp_path / "store"))
-        mode = backend._conn().execute("PRAGMA journal_mode").fetchone()[0]
-        assert str(mode).lower() == "wal"
+        with backend._lock:
+            mode = backend._conn().execute("PRAGMA journal_mode").fetchone()
+        assert str(mode[0]).lower() == "wal"
         backend.close()
 
     def test_single_file_layout(self, tmp_path):
         root = str(tmp_path / "store")
-        store = ResultStore(root, backend="sqlite")
+        store = ResultStore(root)
         store.put(unit_key("test", n=1), {"v": 1})
         store.close()
         names = set(os.listdir(root))
         assert "store.sqlite3" in names
         assert not any(name == "objects" for name in names)
 
+    def test_fs_era_objects_are_left_alone(self, tmp_path):
+        # a root from the one-file-per-entry layout opens as an empty
+        # store: the old entry is neither read nor deleted
+        root = tmp_path / "store"
+        key = unit_key("test", n=1)
+        old = root / "objects" / key[:2] / (key + ".json")
+        old.parent.mkdir(parents=True)
+        old.write_text(json.dumps({"digest": key, "result": {"v": 1}}))
+        store = ResultStore(str(root))
+        assert store.get(key) is None
+        assert store.stats()["entries"] == 0
+        assert store.put(key, {"v": 2}) is True
+        assert store.get(key) == {"v": 2}
+        store.close()
+        assert json.loads(old.read_text())["result"] == {"v": 1}
+
+    def test_one_connection_serves_every_thread(self, tmp_path):
+        # more threads than cores, switching often, on one connection:
+        # every call must hold the lock or the transactions interleave
+        store = ResultStore(str(tmp_path / "store"))
+        store.put(unit_key("test", n=-1), {"v": -1})
+        conn = store.backend._db
+        errors = []
+
+        def hammer(worker):
+            try:
+                for i in range(200):
+                    key = unit_key("threads", worker=worker, n=i)
+                    assert store.backend.write(key, json.dumps({"i": i}))
+                    assert json.loads(store.backend.read(key)) == {"i": i}
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(w,)) for w in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(store.backend.entries()) == 1 + 8 * 200
+        assert store.backend._db is conn
+        store.close()
+        assert store.backend._db is None
+
     def test_compact_reclaims_bytes_after_eviction(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"), backend="sqlite")
+        store = ResultStore(str(tmp_path / "store"))
         for i in range(200):
             store.put(unit_key("bulk", n=i), {"blob": "x" * 2000})
         before = store.backend.file_bytes()
@@ -189,7 +190,7 @@ class TestSQLiteSpecifics:
 
     def test_doc_is_store_layer_json(self, tmp_path):
         # the backend stores the store layer's entry document verbatim
-        store = ResultStore(str(tmp_path / "store"), backend="sqlite")
+        store = ResultStore(str(tmp_path / "store"))
         key = unit_key("test", n=9)
         store.put(key, {"v": 9})
         doc = json.loads(store.backend.read(key))

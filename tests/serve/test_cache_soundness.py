@@ -117,33 +117,3 @@ def test_env_campaigns_cache_soundly(env, runtime, tmp_path):
     assert _comparable(cross) == _comparable(
         run_campaign(_env_config(app, runtime, other))
     )
-
-
-def _backend_config(app, runtime, store_dir=None, backend=None):
-    return CampaignConfig(
-        app=app, runtime=runtime, mode="exhaustive", limit=LIMIT,
-        workers=1, shrink=False, store_dir=store_dir,
-        store_backend=backend,
-    )
-
-
-def test_backend_choice_is_invisible_to_verdicts(tmp_path):
-    """The physical store layout must never leak into results: cold ==
-    warm == storeless holds on SQLite exactly as on the filesystem
-    backend, and the two backends' reports are interchangeable."""
-    app, runtime = "fir", "easeio"
-    storeless = run_campaign(_backend_config(app, runtime))
-
-    for backend in ("fs", "sqlite"):
-        store_dir = str(tmp_path / backend)
-        cold = run_campaign(
-            _backend_config(app, runtime, store_dir, backend)
-        )
-        warm = run_campaign(
-            _backend_config(app, runtime, store_dir, backend)
-        )
-        assert _comparable(cold) == _comparable(storeless)
-        assert _comparable(warm) == _comparable(storeless)
-        n = storeless.n_runs
-        assert warm.telemetry["counters"].get("serve.store_hits", 0) == n
-        assert warm.telemetry["counters"].get("serve.executed", 0) == 0

@@ -11,12 +11,13 @@ import threading
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import CampaignInterrupted, ReproError
 from repro.fleet.worker import FleetWorker
 from repro.obs.campaign import CampaignTelemetry
 from repro.serve.api import JobManager
 from repro.serve.daemon import ServeClient, make_server
 from repro.serve.kinds import campaign_kind, kinds, run_kind
+from repro.serve.store import ResultStore
 
 #: one small wire config per registered kind
 SMALL = {
@@ -93,6 +94,41 @@ def test_storeless_cold_and_warm_reports_agree(name, tmp_path):
     counters = telemetry.registry.counters
     assert counters.get("serve.store_hits") == telemetry.total > 0
     assert "serve.executed" not in counters
+
+
+@pytest.fixture
+def closed(monkeypatch):
+    """Every ``ResultStore.close`` call: the connection it left."""
+    calls = []
+    close = ResultStore.close
+
+    def recording_close(store):
+        close(store)
+        calls.append(store.backend._db)
+
+    monkeypatch.setattr(ResultStore, "close", recording_close)
+    return calls
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_finished_run_closes_its_store(name, closed, tmp_path):
+    _run(name, store_dir=str(tmp_path / "store"))
+    assert (tmp_path / "store" / "store.sqlite3").exists()
+    assert closed == [None]
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_interrupted_run_closes_its_store(name, closed, tmp_path):
+    cancel = threading.Event()
+    cancel.set()
+    with pytest.raises(CampaignInterrupted) as err:
+        run_kind(
+            campaign_kind(name), _cfg(name, store_dir=str(tmp_path / "s")),
+            cancel=cancel,
+        )
+    assert err.value.report.partial
+    assert (tmp_path / "s" / "store.sqlite3").exists()
+    assert closed == [None]
 
 
 @pytest.mark.parametrize("name", KINDS)

@@ -79,11 +79,10 @@ class TestProgramDigest:
         assert out[1] == unit_key("check-unit", program="p", schedule=[1, 2])
 
 
-@pytest.fixture(params=["fs", "sqlite"])
-def store(request, tmp_path):
-    """One ResultStore per physical backend: every durability,
-    corruption, gc, and atomicity property must hold for both."""
-    s = ResultStore(str(tmp_path / "store"), backend=request.param)
+# one param: the test ids name the store's one layout
+@pytest.fixture(params=["sqlite"])
+def store(tmp_path):
+    s = ResultStore(str(tmp_path / "store"))
     yield s
     s.close()
 
@@ -94,15 +93,7 @@ def _corrupt(store, key, text=None):
     ``text=None`` truncates the document to half its bytes; otherwise
     the document is replaced wholesale with ``text``.
     """
-    if store.backend.name == "fs":
-        path = os.path.join(store.objects_dir, key[:2], key + ".json")
-        if text is None:
-            with open(path, "r+") as fh:
-                fh.truncate(os.path.getsize(path) // 2)
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
-    else:
+    with store.backend._lock:
         conn = store.backend._conn()
         if text is None:
             conn.execute(
@@ -118,10 +109,7 @@ def _corrupt(store, key, text=None):
 
 def _backdate(store, key, saved_at):
     """Stamp the entry's age so eviction order is well defined."""
-    if store.backend.name == "fs":
-        path = os.path.join(store.objects_dir, key[:2], key + ".json")
-        os.utime(path, (saved_at, saved_at))
-    else:
+    with store.backend._lock:
         conn = store.backend._conn()
         conn.execute(
             "UPDATE objects SET saved_at = ? WHERE key = ?", (saved_at, key)
@@ -152,10 +140,7 @@ class TestRoundTrip:
     def test_second_instance_reads_first_instances_entries(self, store):
         key = unit_key("test", n=3)
         store.put(key, [1, 2, 3])
-        # no explicit backend: the second instance must sniff the
-        # existing root's flavour rather than default to fs
         again = ResultStore(store.root)
-        assert again.backend.name == store.backend.name
         assert again.get(key) == [1, 2, 3]
         again.close()
 
