@@ -10,10 +10,14 @@ The full dance, against real processes:
 4. SIGKILL one worker while it holds a lease (all workers are
    SIGSTOPped while the board is read, so the lease cannot be released
    between the check and the kill) — its shard must expire and requeue
-   (typed ``expire``/``requeue`` events in the job log);
-5. SIGTERM the daemon mid-flight, restart it on the same port, and
-   resubmit: the surviving workers reconnect through their backoff
-   loop and the campaign resumes from the checkpoint + store;
+   (typed ``expire``/``requeue`` events in the job log); the two
+   surviving workers stay stopped, so the campaign makes no progress
+   until step 5;
+5. SIGTERM the daemon with at least a quarter of the units unfinished,
+   restart it on the same port, resubmit, and SIGCONT the survivors:
+   they reconnect through their backoff loop, and the campaign resumes
+   from the daemon's store — the finished units come back as store
+   hits and the rest execute;
 6. assert zero lost and zero double-counted units, and that every
    entry of the workers' shared store reads back intact, though one of
    its three writers was SIGKILLed;
@@ -26,6 +30,7 @@ job; runs locally with ``python scripts/fleet_smoke.py``.
 
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -103,7 +108,8 @@ def wait_for(predicate, timeout_s, what):
 
 
 def kill_lease_holder(client, workers, timeout_s):
-    """SIGKILL ``workers[0]`` at a moment it holds a lease.
+    """SIGKILL ``workers[0]`` at a moment it holds a lease, and leave
+    the others stopped.
 
     A worker leases a shard, runs it, then releases it, so it holds at
     most one lease at a time.  With every worker stopped, an active
@@ -118,8 +124,6 @@ def kill_lease_holder(client, workers, timeout_s):
         held = client.fleet_status().get("leases_active", 0)
         if held >= len(workers):
             workers[0].send_signal(signal.SIGKILL)
-            for proc in workers[1:]:
-                proc.send_signal(signal.SIGCONT)
             workers[0].wait(timeout=30)
             return
         for proc in workers:
@@ -178,6 +182,12 @@ def main() -> int:
               f"requeued_units={stats.get('requeued_units')}")
 
         print("== 5. restart the daemon mid-flight; resubmit")
+        finished = client.status(job["id"])["progress"].get("done", 0)
+        unfinished = CAMPAIGN["runs"] - finished
+        print(f"   {unfinished} of {CAMPAIGN['runs']} runs unfinished")
+        assert unfinished >= CAMPAIGN["runs"] / 4, (
+            "too little work left to resume"
+        )
         daemon.send_signal(signal.SIGTERM)
         assert daemon.wait(timeout=60) == 0, "daemon did not exit cleanly"
         daemon, url = start_daemon(root, port)
@@ -186,15 +196,18 @@ def main() -> int:
         assert again["campaign"] == job["campaign"], "campaign identity changed"
 
         # the two surviving worker processes reconnect on their own
+        for proc in workers[1:]:
+            proc.send_signal(signal.SIGCONT)
         final = client.wait(again["id"], timeout_s=600)
         assert final["state"] == "done", final
         resumed = client.results(again["id"])
         counters = resumed["telemetry"]["counters"]
-        reused = (counters.get("serve.checkpoint_restored", 0)
-                  + counters.get("serve.store_hits", 0))
-        print(f"   {reused} of {resumed['n_runs']} runs reused after the "
-              f"restart, {counters.get('serve.executed', 0)} re-executed")
-        assert reused > 0, "no finished work was reused after the restart"
+        hits = counters.get("serve.store_hits", 0)
+        executed = counters.get("serve.executed", 0)
+        print(f"   {hits} of {resumed['n_runs']} runs served from the "
+              f"store after the restart, {executed} executed")
+        assert hits > 0, "no finished work was reused after the restart"
+        assert executed > 0, "nothing was left to resume after the restart"
 
         print("== 6. nothing lost, nothing double-counted")
         progress = client.status(again["id"])["progress"]
@@ -244,6 +257,7 @@ def main() -> int:
                 daemon.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 daemon.kill()
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 if __name__ == "__main__":

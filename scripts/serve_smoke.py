@@ -8,8 +8,9 @@ The full dance, against real processes:
 3. kill the daemon mid-flight (SIGTERM, while the job is running);
 4. start a fresh daemon on the same service root — the dead job must
    surface as ``interrupted``;
-5. resubmit the same campaign — it must resume from the checkpoint
-   and the store rather than redoing finished work;
+5. resubmit the same campaign — it must resume from the store, its
+   one record of finished units (the service root keeps no checkpoint
+   journals), rather than redoing finished work;
 6. assert the final report is identical (modulo wall-clock fields) to
    an uninterrupted run of the same campaign in a clean service root.
 
@@ -19,6 +20,7 @@ job; runs locally with ``python scripts/serve_smoke.py``.
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -66,15 +68,36 @@ def start_daemon(root):
     return proc, url
 
 
+def stop_daemon(proc):
+    proc.send_signal(signal.SIGTERM)
+    try:
+        return proc.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        return proc.wait()
+
+
 def main() -> int:
+    tmp = tempfile.mkdtemp(prefix="serve-smoke-")
+    procs = []
+    try:
+        return smoke(tmp, procs)
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                stop_daemon(proc)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def smoke(tmp, procs) -> int:
     sys.path.insert(0, os.path.join(REPO, "src"))
     from repro.serve.daemon import ServeClient
 
-    tmp = tempfile.mkdtemp(prefix="serve-smoke-")
     root = os.path.join(tmp, "serve")
 
     print("== 1. daemon up, campaign submitted over HTTP")
     proc, url = start_daemon(root)
+    procs.append(proc)
     client = ServeClient(url)
     job = client.submit("check", CAMPAIGN)
     print(f"   job {job['id']} campaign {job['campaign'][:12]}")
@@ -91,39 +114,41 @@ def main() -> int:
         if status["progress"].get("done", 0) >= 10:
             break
         time.sleep(0.05)
-    proc.send_signal(signal.SIGTERM)
-    assert proc.wait(timeout=60) == 0, "daemon did not exit cleanly"
+    assert stop_daemon(proc) == 0, "daemon did not exit cleanly"
     print(f"   killed after {status['progress'].get('done', 0)} runs")
 
     print("== 3. fresh daemon on the same root: job is interrupted")
     proc, url = start_daemon(root)
+    procs.append(proc)
     client = ServeClient(url)
     revived = client.status(job["id"])
     assert revived["state"] in ("interrupted", "cancelled"), revived["state"]
 
-    print("== 4. resubmit: resumes from checkpoint + store")
+    print("== 4. resubmit: resumes from the store")
     again = client.submit("check", CAMPAIGN)
     assert again["campaign"] == job["campaign"], "campaign identity changed"
     final = client.wait(again["id"], timeout_s=600)
     assert final["state"] == "done", final
     resumed = client.results(again["id"])
     counters = resumed["telemetry"]["counters"]
-    reused = (counters.get("serve.checkpoint_restored", 0)
-              + counters.get("serve.store_hits", 0))
-    print(f"   {reused} of {resumed['n_runs']} runs reused, "
+    hits = counters.get("serve.store_hits", 0)
+    print(f"   {hits} of {resumed['n_runs']} runs served from the store, "
           f"{counters.get('serve.executed', 0)} simulated fresh")
-    assert reused > 0, "no finished work was reused after the kill"
-    proc.send_signal(signal.SIGTERM)
-    proc.wait(timeout=60)
+    assert hits > 0, "no finished work was reused after the kill"
+    assert "serve.checkpoint_restored" not in counters, counters
+    assert not os.path.exists(os.path.join(root, "checkpoints")), (
+        "the service root keeps checkpoint journals"
+    )
+    stop_daemon(proc)
 
     print("== 5. uninterrupted reference run in a clean root")
     proc, url = start_daemon(os.path.join(tmp, "serve-ref"))
+    procs.append(proc)
     client = ServeClient(url)
     ref_job = client.submit("check", CAMPAIGN)
     assert client.wait(ref_job["id"], timeout_s=600)["state"] == "done"
     reference = client.results(ref_job["id"])
-    proc.send_signal(signal.SIGTERM)
-    proc.wait(timeout=60)
+    stop_daemon(proc)
 
     a = comparable(resumed)
     b = comparable(reference)

@@ -44,8 +44,10 @@ injected by a timer.
 ``check``, ``fuzz`` and ``env sweep`` campaigns shut down gracefully
 on SIGINT or SIGTERM (one runner, :func:`repro.serve.kinds.run_cli`,
 serves all three): the worker pool drains in-flight units, a partial
-report is printed, and — with ``--checkpoint`` — the journal makes the
-remainder resumable by re-running the same command (exit status 130).
+report is printed, and the exit status is 130.  Re-running the same
+command resumes the campaign from its one durable record of finished
+units: the ``--store`` when given, else the ``--checkpoint`` journal
+(the two flags exclude each other).
 
 Examples::
 
@@ -53,7 +55,8 @@ Examples::
     python -m repro run weather --runtime alpaca --low-ms 5 --high-ms 20
     python -m repro check uni_temp --runtime easeio --mode exhaustive
     python -m repro check fir --runtime alpaca --mode random --runs 200
-    python -m repro check fir --store .repro-store --checkpoint fir.ckpt
+    python -m repro check fir --store .repro-store
+    python -m repro check fir --checkpoint fir.ckpt
     python -m repro lint weather
     python -m repro annotate fir
     python -m repro transform uni_temp
@@ -193,18 +196,25 @@ def _add_check_parser(sub) -> None:
                         "checks, keep NV-state checks")
     p.add_argument("--no-shrink", action="store_true",
                    help="skip delta-debugging of failing schedules")
-    p.add_argument("--store", default=None, metavar="DIR",
-                   help="content-addressed result store: cache hits "
-                        "short-circuit simulation")
-    p.add_argument("--checkpoint", default=None, metavar="FILE",
-                   help="journal progress to FILE; an interrupted "
-                        "campaign resumes from it on re-run")
+    _add_record_options(p)
     p.add_argument("--series", default=None, metavar="FILE",
                    help="append one durable telemetry point to this obs "
                         "series file when the campaign finishes "
                         "(REPRO_OBS_SERIES works too); obs trends reads it")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON instead of text")
+
+
+def _add_record_options(p) -> None:
+    """``--store`` or ``--checkpoint``: a campaign's one durable record."""
+    record = p.add_mutually_exclusive_group()
+    record.add_argument("--store", default=None, metavar="DIR",
+                        help="content-addressed result store: cache hits "
+                             "short-circuit simulation, and an "
+                             "interrupted campaign resumes from it")
+    record.add_argument("--checkpoint", default=None, metavar="FILE",
+                        help="without a store: journal progress to FILE; "
+                             "an interrupted campaign resumes from it")
 
 
 def _activate_series(path) -> None:
@@ -266,12 +276,7 @@ def _add_fuzz_parser(sub) -> None:
                         "per program")
     p.add_argument("--no-shrink", action="store_true",
                    help="skip generator-aware program minimization")
-    p.add_argument("--store", default=None, metavar="DIR",
-                   help="content-addressed result store: cache hits "
-                        "short-circuit simulation")
-    p.add_argument("--checkpoint", default=None, metavar="FILE",
-                   help="journal progress to FILE; an interrupted "
-                        "campaign resumes from it on re-run")
+    _add_record_options(p)
     p.add_argument("--series", default=None, metavar="FILE",
                    help="append one durable telemetry point to this obs "
                         "series file when the fuzz run finishes "

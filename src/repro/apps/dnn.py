@@ -51,11 +51,6 @@ class BufferPlan:
             else ("act_b", "act_a")
         )
 
-    def final_buffer(self, layers: int) -> str:
-        if self.single:
-            return "act_a"
-        return "act_b" if layers % 2 == 1 else "act_a"
-
 
 def declare_network(b: ProgramBuilder, single_buffer: bool) -> BufferPlan:
     """Declare weights, activation buffers and LEA scratch."""

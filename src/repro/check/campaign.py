@@ -10,9 +10,10 @@ same verdict with no shared state.  The only traffic is the schedule
 in and the (small, JSON-encoded) verdict out.  ``workers=1`` runs
 inline, which keeps single-process debugging (pdb, coverage) trivial
 and is what the test suite uses.  With ``store_dir`` set, per-schedule
-verdicts are content-addressed (:func:`check_unit_key`) and cache hits
-short-circuit simulation; with ``checkpoint`` set, an interrupted
-campaign re-run under the same config resumes exactly where it died.
+verdicts are content-addressed (:func:`check_unit_key`), cache hits
+short-circuit simulation, and an interrupted campaign re-run under the
+same config resumes exactly where it died; without a store,
+``checkpoint`` names a journal that does the resuming.
 
 After the fan-out, the first failing schedule of each violation kind
 is delta-debugged (:mod:`repro.check.shrink`) to a minimal reproducer
@@ -73,8 +74,10 @@ class CampaignConfig:
     #: per-schedule verdicts are cached and re-served on byte-identical
     #: (program, runtime, plan, fastpath, semantics-version) keys
     store_dir: Optional[str] = None
-    #: checkpoint journal path (None: no checkpoint) — an interrupted
-    #: campaign re-run with the same config resumes where it died
+    #: checkpoint journal path (None: no journal) — without a store, an
+    #: interrupted campaign re-run with the same config resumes from it;
+    #: a journal given together with a store is not used (the store is
+    #: then the one durable record of each schedule)
     checkpoint: Optional[str] = None
 
 

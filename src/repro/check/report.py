@@ -39,8 +39,8 @@ class CampaignReport:
     #: re-submitted verbatim via ``repro serve submit --from-report``
     config: Dict[str, object] = field(default_factory=dict)
     #: True when the campaign was interrupted: verdicts cover only the
-    #: schedules checked before the interrupt, and a checkpoint (when
-    #: configured) makes the remainder resumable
+    #: schedules checked before the interrupt, and the store or
+    #: checkpoint (when configured) makes the remainder resumable
     partial: bool = False
 
     @property

@@ -13,9 +13,10 @@ Subcommands:
 ``sweep``
     run a grid of environments x apps x runtimes as one serve-backed
     campaign: content-addressed (re-runs are warm cache hits),
-    sharded across workers, checkpoint-resumable after SIGINT or
-    SIGTERM (exit 130 with a partial report, like ``check``); its
-    ``--json`` report re-submits to a daemon or a fleet with
+    sharded across workers, resumable after SIGINT or SIGTERM (exit
+    130 with a partial report, like ``check``) from its ``--store``,
+    or without one from its ``--checkpoint`` journal; its ``--json``
+    report re-submits to a daemon or a fleet with
     ``serve submit --from-report``.
 
 Examples::
@@ -24,7 +25,7 @@ Examples::
         --out /tmp/markov7.jsonl
     python -m repro env replay /tmp/markov7.jsonl
     python -m repro env sweep --count 100 --seed 1 --apps uni_temp,fir \\
-        --store .repro-store --checkpoint sweep.ckpt --workers 4
+        --store .repro-store --workers 4
 """
 
 from __future__ import annotations
@@ -33,34 +34,17 @@ import argparse
 import sys
 
 from repro.apps import APPS
-from repro.core.run import run_app
 from repro.env.spec import parse_env
+from repro.env.sweep import run_under
 from repro.env.trace import load_trace, read_trace, write_trace
-from repro.errors import NonTermination, ReproError
+from repro.errors import ReproError
 
 _RUNTIMES = ("alpaca", "ink", "samoyed", "easeio")
 
 
-def _run_under(env, app: str, runtime: str, env_seed: int, limit: int):
-    """One run under ``env``; NonTermination becomes a reported error."""
-    try:
-        result = run_app(
-            app, runtime, failure_model=env, seed=env_seed,
-            nontermination_limit=limit,
-        )
-        return result, None
-    except NonTermination as exc:
-        return None, f"NonTermination: {exc}"
-
-
-def _horizon(env, result) -> float:
-    """A trace horizon safely past everything the run consulted."""
-    return env.trace_horizon_us()
-
-
 def _cmd_record(args) -> int:
     env = parse_env(args.env)
-    result, error = _run_under(
+    result, error = run_under(
         env, args.app, args.runtime, args.env_seed, args.limit
     )
     meta = {
@@ -73,7 +57,7 @@ def _cmd_record(args) -> int:
         "died_dark": bool(result is not None and result.died_dark),
         "error": error,
     }
-    n = write_trace(args.out, env, _horizon(env, result), meta=meta)
+    n = write_trace(args.out, env, env.trace_horizon_us(), meta=meta)
     print(
         f"recorded {args.out}: {n} samples, "
         f"{len(env.failure_times)} emergent failures, "
@@ -98,7 +82,7 @@ def _cmd_replay(args) -> int:
             f"trace {args.trace!r} records no app in its meta; pass --app"
         )
     env = load_trace(args.trace)
-    result, error = _run_under(env, app, runtime, env_seed, limit)
+    result, error = run_under(env, app, runtime, env_seed, limit)
     recorded = [float(t) for t in header.get("failures", [])]
     replayed = list(env.failure_times)
     ok = replayed == recorded
@@ -200,10 +184,13 @@ def main(argv=None) -> int:
     p_sw.add_argument("--workers", type=int, default=1)
     p_sw.add_argument("--no-verify", action="store_true",
                       help="skip the per-unit record->replay verification")
-    p_sw.add_argument("--store", default=None, metavar="DIR",
-                      help="content-addressed result store")
-    p_sw.add_argument("--checkpoint", default=None, metavar="FILE",
-                      help="journal progress; interrupted sweeps resume")
+    record = p_sw.add_mutually_exclusive_group()
+    record.add_argument("--store", default=None, metavar="DIR",
+                        help="content-addressed result store; "
+                             "interrupted sweeps resume from it")
+    record.add_argument("--checkpoint", default=None, metavar="FILE",
+                        help="without a store: journal progress; "
+                             "interrupted sweeps resume from it")
     p_sw.add_argument("--json", action="store_true")
 
     args = parser.parse_args(argv)

@@ -5,8 +5,8 @@ work unit of the ``env-sweep`` campaign kind, on the one campaign
 driver (:func:`repro.serve.kinds.run_kind`) — content-addressed
 (:func:`sweep_unit_key`, so re-running the same sweep is 100% warm
 cache hits), shardable across worker processes or a fleet, servable
-as a daemon job, and resumable from a checkpoint journal keyed by the
-sweep's campaign identity.
+as a daemon job, and resumable from its store, or without one from a
+checkpoint journal keyed by the sweep's campaign identity.
 
 Each unit executes the app once under its environment and summarizes
 the emergent failure behaviour (failure count and a digest of the
@@ -60,7 +60,11 @@ class SweepConfig:
     #: bit-identical failure instants
     verify_replay: bool = True
     progress: bool = False
+    #: content-addressed result store directory (None: no store); an
+    #: interrupted sweep re-run with it resumes from its cache hits
     store_dir: Optional[str] = None
+    #: checkpoint journal path (None: no journal), used only without a
+    #: store: a journal given together with a store is not used
     checkpoint: Optional[str] = None
 
 
@@ -125,16 +129,18 @@ def _failures_digest(failure_times: List[float]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _run_once(
-    env: EnergyEnvironment, app: str, runtime: str, cfg: SweepConfig
+def run_under(
+    env: EnergyEnvironment, app: str, runtime: str, env_seed: int,
+    limit: int,
 ) -> Tuple[Optional[object], Optional[str]]:
+    """One run under ``env``; NonTermination becomes a reported error.
+
+    ``env record``, ``env replay`` and every sweep unit run through it.
+    """
     try:
         result = run_app(
-            app,
-            runtime,
-            failure_model=env,
-            seed=cfg.env_seed,
-            nontermination_limit=cfg.nontermination_limit,
+            app, runtime, failure_model=env, seed=env_seed,
+            nontermination_limit=limit,
         )
         return result, None
     except NonTermination as exc:
@@ -168,7 +174,9 @@ def run_unit(cfg: SweepConfig, payload) -> Dict[str, object]:
     """Run + summarize one unit (executes inside a worker)."""
     spec, app, runtime = payload
     env = parse_env(spec)
-    result, error = _run_once(env, app, runtime, cfg)
+    result, error = run_under(
+        env, app, runtime, cfg.env_seed, cfg.nontermination_limit
+    )
     failures = list(env.failure_times)
     summary: Dict[str, object] = {
         "env": spec,
@@ -195,7 +203,9 @@ def run_unit(cfg: SweepConfig, payload) -> Dict[str, object]:
         # cover even the final dark-period integration of a
         # nonterminating run (which walks well past the last failure)
         twin = _replay_env(env, env.trace_horizon_us())
-        replay, replay_error = _run_once(twin, app, runtime, cfg)
+        replay, replay_error = run_under(
+            twin, app, runtime, cfg.env_seed, cfg.nontermination_limit
+        )
         summary["replay_ok"] = bool(
             list(twin.failure_times) == failures
             and replay_error == error
@@ -232,7 +242,8 @@ class SweepReport:
     rows: List[Dict[str, object]]
     elapsed_s: float = 0.0
     serve: Dict[str, int] = field(default_factory=dict)
-    #: interrupted before every unit ran (resumable from its checkpoint)
+    #: interrupted before every unit ran (resumable from its store or
+    #: checkpoint)
     partial: bool = False
 
     @property
@@ -364,10 +375,10 @@ def run_sweep(
     """Execute one full environment sweep and fold up the report.
 
     Interruption (SIGINT / ``cancel``) raises
-    :class:`~repro.errors.CampaignInterrupted` after the checkpoint is
-    flushed; re-running the same config with the same ``checkpoint``
-    resumes where it died, and with ``store_dir`` a finished sweep
-    re-runs entirely from warm cache hits.
+    :class:`~repro.errors.CampaignInterrupted` after in-flight units
+    drain; re-running the same config resumes where it died, from
+    ``store_dir`` when set (a finished sweep then re-runs entirely
+    from warm cache hits), else from ``checkpoint``.
     """
     return run_kind(
         SWEEP, cfg, cancel=cancel, telemetry=telemetry, series=series,

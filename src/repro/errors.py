@@ -81,7 +81,8 @@ class CampaignInterrupted(ReproError):
     """A campaign was stopped (SIGINT/SIGTERM/cancel) before finishing.
 
     Raised by the serve scheduler after it has *drained* in-flight
-    work and flushed the checkpoint, so everything completed up to the
+    work into the campaign's durable record (its store, or without one
+    its checkpoint journal), so everything completed up to the
     interrupt is durable and the campaign can resume exactly where it
     died.  Drivers attach a partial, resumable report before
     re-raising; the CLI prints it and exits nonzero.

@@ -1,7 +1,7 @@
 """``repro.fleet`` — remote worker fleets over the campaign service.
 
-The daemon keeps owning campaign *identity* (store keys, checkpoints,
-reports); this package moves campaign *execution* out of its process:
+The daemon keeps owning campaign *identity* (store keys, reports);
+this package moves campaign *execution* out of its process:
 
 * :mod:`repro.fleet.leases` — the daemon-side lease manager: shards of
   work units granted to workers under heartbeat leases with a TTL;

@@ -89,9 +89,6 @@ class Lease:
         #: indices already streamed back under this lease
         self.completed: set = set()
 
-    def remaining_s(self) -> float:
-        return self.deadline - time.monotonic()
-
     def to_wire(
         self, kind: str, config: Dict[str, object], ttl_s: float
     ) -> Dict[str, object]:

@@ -84,8 +84,10 @@ class FuzzConfig:
     #: per-program differential summaries are cached by (seed, index,
     #: runtimes, limit, fastpath, semantics/lint version)
     store_dir: Optional[str] = None
-    #: checkpoint journal path (None: no checkpoint) — an interrupted
-    #: fuzz run re-run with the same config resumes where it died
+    #: checkpoint journal path (None: no journal) — without a store, an
+    #: interrupted fuzz run re-run with the same config resumes from it;
+    #: a journal given together with a store is not used (the store is
+    #: then the one durable record of each program)
     checkpoint: Optional[str] = None
 
 
@@ -111,7 +113,8 @@ class FuzzReport:
     #: re-submitted verbatim via ``repro serve submit --from-report``
     config: Dict[str, object] = field(default_factory=dict)
     #: True when the run was interrupted: programs cover only the
-    #: indices checked before the interrupt (resumable via checkpoint)
+    #: indices checked before the interrupt (resumable from the store
+    #: or checkpoint)
     partial: bool = False
 
     @property
@@ -617,9 +620,9 @@ def fuzz_run(
     Runs on :func:`repro.serve.kinds.run_kind`, like
     :func:`repro.check.campaign.run_campaign`: ``cancel``/SIGINT drain
     gracefully and raise :class:`~repro.errors.CampaignInterrupted`
-    with a partial, resumable report attached; ``store_dir`` and
-    ``checkpoint`` make per-program summaries cacheable and the run
-    resumable.
+    with a partial, resumable report attached; ``store_dir`` makes
+    per-program summaries cacheable and the run resumable from them,
+    and without a store ``checkpoint`` makes it resumable.
     """
     return run_kind(
         FUZZ, cfg, cancel=cancel, telemetry=telemetry, series=series,

@@ -571,9 +571,3 @@ class RegionAllocator:
                 arr = self._arrays[name] = ArrayCell(self.space, self.lookup(name))
             return arr
         return ArrayCell(self.space, self.lookup(name))
-
-    def cell_for(self, symbol: Symbol) -> Cell:
-        return Cell(self.space, symbol)
-
-    def array_for(self, symbol: Symbol) -> ArrayCell:
-        return ArrayCell(self.space, symbol)

@@ -14,8 +14,9 @@ unit is re-simulated.  This package makes campaign work *durable* and
 
 :mod:`repro.serve.scheduler`
     a batch scheduler that shards a campaign's work units across a
-    worker pool, short-circuits store hits, checkpoints every finished
-    unit, resumes an interrupted campaign exactly where it died, and
+    worker pool, short-circuits store hits, keeps one durable record of
+    every finished unit (its store, or without one a checkpoint
+    journal), resumes an interrupted campaign from that record, and
     drains cleanly on SIGINT/SIGTERM/cancel;
 
 :mod:`repro.serve.kinds`

@@ -6,7 +6,6 @@ execution.  The :class:`JobManager` owns a service root directory::
 
     <root>/
         store/                    the shared content-addressed store
-        checkpoints/<digest>.jsonl   one journal per campaign identity
         jobs/<job_id>/job.json       job record (state, config, progress)
         jobs/<job_id>/report.json    final (or partial) report
         jobs/<job_id>/events.jsonl   typed lifecycle event log
@@ -15,18 +14,20 @@ execution.  The :class:`JobManager` owns a service root directory::
 
 Submission returns immediately; each job runs on a background thread
 through the one campaign driver (:func:`~repro.serve.kinds.run_kind`),
-on the serve scheduler with the shared store and a per-campaign
-checkpoint.  Jobs run one at a time: a job without ``fleet`` simulates
-in the daemon's own process, and the simulation core's pooled
-runtimes (:func:`repro.core.compile.runtime_for`) are only safe for
-sequential use — two such jobs at once computed, and cached, wrong
-verdicts.  Under the GIL they never ran in parallel anyway.
+on the serve scheduler with the shared store as the job's one durable
+record of finished units; jobs keep no checkpoint journal.  Jobs run one
+at a time: a job without ``fleet`` simulates in the daemon's own
+process, and the simulation core's pooled runtimes
+(:func:`repro.core.compile.runtime_for`) are only safe for sequential
+use — two such jobs at once computed, and cached, wrong verdicts.  Under
+the GIL they never ran in parallel anyway.
 
-Jobs are restartable: checkpoints are keyed by *campaign identity* (a
-digest of everything the work-unit set depends on), so killing the
-daemon and resubmitting the same configuration — by hand, or with
-``repro serve submit --from-report`` — resumes exactly where the dead
-job stopped, and everything already finished is served from the store.
+Jobs are restartable: every finished unit is in the store under a key
+its campaign's configuration determines, so killing the daemon and
+resubmitting the same configuration — by hand, or with
+``repro serve submit --from-report`` — serves everything already
+finished from the store and runs only the rest.  A ``gc`` between the
+interrupt and the resubmit makes the evicted units run again.
 
 Live progress comes from the same
 :class:`~repro.obs.campaign.CampaignTelemetry` that drives campaign
@@ -99,7 +100,7 @@ class Job:
 
 
 class JobManager:
-    """Owns the service root: jobs, the shared store, checkpoints."""
+    """Owns the service root: jobs, the shared store, the series."""
 
     def __init__(
         self,
@@ -110,9 +111,7 @@ class JobManager:
     ) -> None:
         self.root = os.path.abspath(root)
         self.jobs_dir = os.path.join(self.root, "jobs")
-        self.checkpoints_dir = os.path.join(self.root, "checkpoints")
         os.makedirs(self.jobs_dir, exist_ok=True)
-        os.makedirs(self.checkpoints_dir, exist_ok=True)
         self.store = ResultStore(store_dir or os.path.join(self.root, "store"))
         #: shard leases for jobs submitted with ``fleet=True``
         self.board = LeaseBoard(
@@ -184,7 +183,7 @@ class JobManager:
 
     def _recover(self) -> None:
         """Reload persisted jobs; a dead daemon's running jobs become
-        ``interrupted`` (their checkpoints make them resumable)."""
+        ``interrupted`` (a resubmit resumes from the store)."""
         for job_id in sorted(os.listdir(self.jobs_dir)):
             path = os.path.join(self._job_dir(job_id), "job.json")
             try:
@@ -283,18 +282,12 @@ class JobManager:
         fields = {f.name for f in dataclasses.fields(cfg)}
         job.config = {k: v for k, v in job.config.items() if k in fields}
         job.campaign = kind.digest(cfg)
-        # the serve layer supplies durability; a submitted config's own
-        # store/checkpoint paths (e.g. from a standalone CLI run's
-        # report) are superseded by the service root's
-        cfg = dataclasses.replace(
-            cfg,
-            store_dir=self.store.root,
-            checkpoint=os.path.join(
-                self.checkpoints_dir, job.campaign + ".jsonl"
-            ),
-            progress=False,
+        # the service root's store is the job's one durable record: it
+        # supersedes a submitted config's own store path, and with it
+        # the scheduler ignores any checkpoint path the config names
+        return dataclasses.replace(
+            cfg, store_dir=self.store.root, progress=False
         )
-        return cfg
 
     def _run_job(self, job: Job) -> None:
         with self._running:
@@ -387,7 +380,7 @@ class JobManager:
             )
 
     def cancel(self, job_id: str) -> Dict[str, object]:
-        """Ask a job to stop; it drains, checkpoints, and reports."""
+        """Ask a job to stop; it drains into the store and reports."""
         job = self._get(job_id)
         job.cancel.set()
         self._log_event(job, "cancel_requested", {"state": job.state})
@@ -496,27 +489,11 @@ class JobManager:
         max_age_s: Optional[float] = None,
         max_bytes: Optional[int] = None,
     ) -> Dict[str, object]:
-        """Evict store entries and drop checkpoints of finished jobs."""
-        out = dict(self.store.gc(
+        """Evict store entries (an interrupted job's evicted units
+        run again when it is resubmitted)."""
+        return self.store.gc(
             max_entries=max_entries, max_age_s=max_age_s, max_bytes=max_bytes,
-        ))
-        # resumable campaigns keep their journals; done/failed drop them
-        live = {
-            j.campaign for j in self._jobs.values()
-            if j.state in ("queued", "running", "interrupted", "cancelled")
-        }
-        dropped = 0
-        for name in os.listdir(self.checkpoints_dir):
-            digest = name.rsplit(".", 1)[0]
-            if digest in live:
-                continue
-            try:
-                os.remove(os.path.join(self.checkpoints_dir, name))
-                dropped += 1
-            except OSError:
-                pass
-        out["checkpoints_dropped"] = dropped
-        return out
+        )
 
     def wait(self, job_id: str, timeout_s: float = 60.0) -> Dict[str, object]:
         """Block until the job reaches a terminal state (tests, CLI)."""
@@ -536,8 +513,8 @@ class JobManager:
 
         The lease board stops granting (in-flight workers can still
         renew and stream results), and every live job is asked to
-        cancel — fleet jobs drain their inbox, requeue nothing new,
-        checkpoint, and settle.  The HTTP surface stays up; callers
+        cancel — fleet jobs drain their inbox into the store, requeue
+        nothing new, and settle.  The HTTP surface stays up; callers
         poll :meth:`active_jobs` until it reaches zero.
         """
         self.board.drain()

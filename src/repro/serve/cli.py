@@ -6,8 +6,9 @@ Subcommands::
     serve submit   submit a campaign of any kind (flags or --from-report)
     serve status   show one job, or all jobs
     serve results  fetch a finished job's report (JSON or rendered text)
-    serve cancel   gracefully stop a running job (checkpoint survives)
-    serve gc       evict old store entries, drop orphaned checkpoints
+    serve cancel   gracefully stop a running job (finished units stay stored)
+    serve gc       evict old store entries (evicted units of an
+                   interrupted job re-run when it is resubmitted)
 
 Examples::
 

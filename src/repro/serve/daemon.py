@@ -15,7 +15,7 @@ background threads via :class:`~repro.serve.api.JobManager`::
     GET  /v1/jobs/<id>              one job record (live progress)
     GET  /v1/jobs/<id>/results      the report (409 until one exists)
     GET  /v1/jobs/<id>/events       typed lifecycle event log
-    POST /v1/jobs/<id>/cancel       graceful stop (drain + checkpoint)
+    POST /v1/jobs/<id>/cancel       graceful stop (drain into the store)
     GET  /v1/store/stats            store entry count/bytes/traffic
     POST /v1/store/gc               {"max_entries": N?, "max_age_s": S?,
                                      "max_bytes": B?}
@@ -36,9 +36,10 @@ transport failures retry a bounded number of times with exponential
 backoff and jitter, so a hung or restarting daemon can never wedge a
 worker or the CLI forever.  :func:`run_daemon` wires SIGINT/SIGTERM to
 a graceful shutdown: the lease board stops granting, running jobs
-drain and checkpoint (in-flight workers can still stream results while
+drain into the store (in-flight workers can still stream results while
 that happens), and only then does the socket close — so a killed
-daemon's campaigns resume on resubmission with nothing lost.
+daemon's campaigns resume from the store on resubmission with nothing
+lost.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def run_daemon(server: ServeServer, drain_s: float = 10.0) -> int:
 
     The first signal starts a *graceful* drain: the lease board stops
     granting, running jobs are cancelled (they drain their in-flight
-    shards and flush checkpoints), and the HTTP socket **stays open**
+    shards into the store), and the HTTP socket **stays open**
     through the drain window so fleet workers can still stream the
     results of shards they already hold instead of losing them to a
     mid-flight connection reset.  Only when every job has settled (or

@@ -35,9 +35,10 @@ class CampaignKind:
     (the driver reads ``workers``, ``progress``, ``store_dir``,
     ``checkpoint``) and ``report`` its report type
     (``ok``, ``to_json``, ``from_json``, ``render_text``).
-    ``digest(cfg)`` keys its checkpoint and ``unit_key(cfg, payload)``
-    one unit's store entry.  ``context(cfg)`` builds what every unit
-    runs against (all a fleet worker needs), and ``units(cfg, ctx) ->
+    ``digest(cfg)`` is its campaign identity (a journal's header, a
+    series point) and ``unit_key(cfg, payload)`` one unit's store
+    entry.  ``context(cfg)`` builds what every unit runs against (all
+    a fleet worker needs), and ``units(cfg, ctx) ->
     (payloads, notes)`` lists the unit payloads in order and the
     report's notes.  ``run_unit(ctx, payload)`` returns one unit's
     encoded (JSON-safe) result: module-level so a pool can pickle it,
@@ -126,12 +127,13 @@ def run_kind(
 ):
     """Run one campaign of ``kind`` and fold up its report.
 
-    ``cancel`` (job layer) and SIGINT/SIGTERM (CLI) both stop the
-    campaign gracefully: in-flight work drains, the checkpoint is
-    flushed, and the raised :class:`~repro.errors.CampaignInterrupted`
-    carries a partial, resumable report in ``.report``.  ``telemetry``
-    lets a caller watch live progress; ``fleet`` leases the units to
-    remote workers instead of running them in this process.
+    ``cancel`` (job layer) and SIGINT/SIGTERM (CLI) both stop the campaign
+    gracefully: in-flight work drains into the campaign's one durable
+    record (its store, else its journal), and the raised
+    :class:`~repro.errors.CampaignInterrupted` carries a partial,
+    resumable report in ``.report``.  ``telemetry`` lets a caller watch
+    live progress; ``fleet`` leases the units to remote workers instead
+    of running them in this process.
     """
     ctx = kind.context(cfg)
     payloads, notes = kind.units(cfg, ctx)
@@ -158,6 +160,8 @@ def run_kind(
         events=events,
         fleet=fleet,
     )
+    # with a store the scheduler keeps no journal, so every unit is
+    # keyed: an interrupted run resumes from its store hits
     keyed = store is not None
     units = [
         WorkUnit(i, payload, kind.unit_key(cfg, payload) if keyed else "")
@@ -183,8 +187,8 @@ def run_kind(
             notes + [
                 f"interrupted: {exc.done}/{exc.total} {kind.noun} checked"
                 + (
-                    f"; resumable via checkpoint {cfg.checkpoint}"
-                    if cfg.checkpoint else ""
+                    f"; resumable via {scheduler.record}"
+                    if scheduler.record else ""
                 )
             ],
             partial=True,
@@ -232,9 +236,11 @@ def run_cli(
     """Run one campaign for a CLI command; returns its exit status.
 
     SIGINT and SIGTERM drain the campaign: the partial report is
-    printed with a resume hint, and the status is 130.  Otherwise the
-    report is printed and the status is 0 when it is ``ok``, else 1.
-    ``output`` also writes the JSON report, partial or final, to a file.
+    printed with a hint naming the run's ``--store`` or
+    ``--checkpoint`` to resume from, and the status is 130.  Otherwise
+    the report is printed and the status is 0 when it is ``ok``, else
+    1.  ``output`` also writes the JSON report, partial or final, to a
+    file.
     """
     try:
         with _sigterm_interrupts():
@@ -246,7 +252,8 @@ def run_cli(
             f"{kind.name}: interrupted after {exc.done}/{exc.total} "
             f"{kind.noun}"
             + (
-                f"; resume with --checkpoint {cfg.checkpoint}"
+                f"; resume with --store {cfg.store_dir}" if cfg.store_dir
+                else f"; resume with --checkpoint {cfg.checkpoint}"
                 if cfg.checkpoint else ""
             ),
             file=sys.stderr,

@@ -4,30 +4,37 @@ The scheduler owns the fan-out half of every campaign.  A campaign
 hands it an ordered list of :class:`WorkUnit` (index + picklable
 payload + optional store key) and a worker task; the scheduler then
 
-1. **restores** units already finished by a previous, interrupted run
-   of the *same* campaign from the checkpoint file (identity-checked
-   via the campaign digest in the header);
-2. **short-circuits** units whose result is already in the
+1. **short-circuits** units whose result is already in the
    content-addressed store — a cache hit costs one database read, no
    simulation;
+2. without a store, **restores** units already finished by a previous,
+   interrupted run of the *same* campaign from the checkpoint journal
+   (identity-checked via the campaign digest in the header);
 3. **shards** the remaining units across a ``multiprocessing`` pool
    (two shards per worker in flight, one running and one queued, results
    streamed back as shards finish), or runs them inline for ``workers == 1``;
-4. **persists** every fresh result — store write plus one appended,
-   flushed checkpoint line — *before* counting it done, so progress is
-   durable at unit granularity;
+4. **persists** every fresh result once — a store write, or without a
+   store one appended, flushed journal line — *before* counting it
+   done, so progress is durable at unit granularity;
 5. on SIGINT/SIGTERM (``KeyboardInterrupt``) or a tripped cancel
    event, stops submitting, **drains** the in-flight shards (workers
-   ignore SIGINT — the standard graceful-pool recipe), flushes the
-   checkpoint, and raises :class:`~repro.errors.CampaignInterrupted`
-   carrying everything that did finish.  A second interrupt skips the
-   drain and terminates the pool.
+   ignore SIGINT — the standard graceful-pool recipe), and raises
+   :class:`~repro.errors.CampaignInterrupted` carrying everything that
+   did finish.  A second interrupt skips the drain and terminates the
+   pool.
+
+A campaign keeps exactly one durable record of each finished unit: its
+store when it has one, else its journal.  A journal path given together
+with a store is not used, and an interrupted run with a store resumes
+from store hits.  Units without a key bypass the store, so they re-run
+on resume; :func:`~repro.serve.kinds.run_kind` keys every unit when it
+opens a store.
 
 Results cross the process boundary and the disk in one *encoded*
 (JSON-safe) form: workers encode before returning, the store and the
-checkpoint persist the encoded document verbatim, and the parent
-decodes exactly once — so a cached, a checkpointed, and a
-freshly-simulated result are indistinguishable by construction.
+journal persist the encoded document verbatim, and the parent decodes
+exactly once — so a cached, a checkpointed, and a freshly-simulated
+result are indistinguishable by construction.
 Determinism discipline matches the campaign runner's: results are
 re-slotted by index and a lost slot is a hard error.
 """
@@ -200,7 +207,7 @@ def _run_shard(items: List[Tuple[int, object]]) -> List[Tuple[int, object]]:
 
 
 class BatchScheduler:
-    """Runs one campaign's work units through store + pool + checkpoint."""
+    """Runs one campaign's work units through store or journal + pool."""
 
     def __init__(
         self,
@@ -218,7 +225,9 @@ class BatchScheduler:
     ) -> None:
         self.workers = max(1, workers)
         self.store = store
-        self.checkpoint_path = checkpoint_path
+        #: the journal path; None when a store is given, because the
+        #: store is then the one durable record of each unit (module doc)
+        self.checkpoint_path = checkpoint_path if store is None else None
         self.campaign = campaign
         self.telemetry = telemetry
         self.cancel = cancel
@@ -238,6 +247,15 @@ class BatchScheduler:
         self.last_run_stats: Dict[str, int] = {}
         #: store counter deltas attributable to the last run()
         self.last_store_delta: Dict[str, int] = {}
+
+    @property
+    def record(self) -> str:
+        """The durable record an interrupted run resumes from, or ""."""
+        if self.store is not None:
+            return f"store {self.store.root}"
+        if self.checkpoint_path:
+            return f"checkpoint {self.checkpoint_path}"
+        return ""
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -307,28 +325,20 @@ class BatchScheduler:
         if self.checkpoint_path:
             ckpt = Checkpoint(self.checkpoint_path, self.campaign, total)
             for index, encoded in sorted(ckpt.load().items()):
-                if index in keys and index not in results:
+                if index in keys:
                     results[index] = decode_(encoded)
                     self._note("checkpoint_restored")
                     self._tick(results[index], counters)
-            if self.last_run_stats.get("checkpoint_restored"):
-                self._event(
-                    "checkpoint_restored",
-                    units=self.last_run_stats["checkpoint_restored"],
-                    total=total,
-                )
 
         if self.store is not None:
             for unit in units:
-                if unit.index in results or not unit.key:
+                if not unit.key:
                     continue
                 encoded = self.store.get(unit.key)
                 if encoded is None:
                     continue
                 results[unit.index] = decode_(encoded)
                 self._note("store_hits")
-                if ckpt is not None:
-                    ckpt.append(unit.index, unit.key, encoded)
                 self._tick(results[unit.index], counters)
             if self.last_run_stats.get("store_hits"):
                 self._event(
@@ -342,6 +352,8 @@ class BatchScheduler:
         ]
 
         def absorb(index: int, encoded: object) -> None:
+            if index in results:
+                return  # absorbed already, before an interrupt cut in
             key = keys.get(index, "")
             if self.store is not None and key:
                 self.store.put(key, encoded, meta={"campaign": self.campaign})
@@ -394,10 +406,7 @@ class BatchScheduler:
             exc = CampaignInterrupted(
                 f"campaign interrupted ({interrupted}): "
                 f"{len(results)}/{total} units finished"
-                + (
-                    f"; checkpoint {self.checkpoint_path} is resumable"
-                    if ckpt is not None else ""
-                ),
+                + (f"; resumable via {self.record}" if self.record else ""),
                 done=len(results),
                 total=total,
             )
@@ -418,9 +427,6 @@ class BatchScheduler:
             total=total,
             executed=self.last_run_stats.get("executed", 0),
             store_hits=self.last_run_stats.get("store_hits", 0),
-            checkpoint_restored=self.last_run_stats.get(
-                "checkpoint_restored", 0
-            ),
         )
         # the one durable-telemetry seam: every *finished* campaign
         # (check, fuzz, sweep — anything with a campaign identity)
@@ -465,10 +471,11 @@ class BatchScheduler:
             try:
                 absorb(index, encoded)
             except KeyboardInterrupt:
-                # The signal landed mid-persist.  The result is already
-                # computed and both store.put and the checkpoint append
-                # are atomic/idempotent, so finish persisting it rather
-                # than dropping a unit of work on the floor.
+                # The signal landed mid-absorb.  The result is already
+                # computed and a store put is atomic and idempotent (a
+                # torn journal line is skipped on load), so finish
+                # persisting it rather than dropping a unit of work; a
+                # unit already counted is not counted again.
                 absorb(index, encoded)
                 return "signal"
         return None
@@ -478,7 +485,7 @@ class BatchScheduler:
 
         The handle streams back (index, encoded-result) pairs as
         workers complete them; this thread stays the only absorber, so
-        store/checkpoint/results bookkeeping needs no extra locking.
+        store/journal/results bookkeeping needs no extra locking.
         Expired leases are reaped here too (``sweep``), which is what
         requeues a dead worker's shard.  Cross-lease duplicates (a
         shard re-executed after its first worker was presumed dead,
@@ -551,8 +558,11 @@ class BatchScheduler:
                         n for n, ar in inflight.items() if ar.ready()
                     ]
                     for n in done:
-                        for index, encoded in inflight.pop(n).get():
+                        # popped only once absorbed whole: after an
+                        # interrupt mid-shard, the drain absorbs the rest
+                        for index, encoded in inflight[n].get():
                             absorb(index, encoded)
+                        del inflight[n]
                     if interrupted is None and self._cancelled():
                         interrupted = "cancelled"
                     if not done:

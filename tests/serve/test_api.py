@@ -184,11 +184,15 @@ class TestCancelAndRecovery:
             assert report["partial"] is True
             assert report["ok"] is False
             assert 0 < report["n_runs"] < 300
-            # the journal survives for resumption
-            ckpt = os.path.join(
-                manager.checkpoints_dir, job["campaign"] + ".jsonl"
+            # the store is the job's one record of its finished units
+            assert manager.store.stats()["entries"] == report["n_runs"]
+            assert any(
+                f"resumable via store {manager.store.root}" in note
+                for note in report["notes"]
             )
-            assert os.path.exists(ckpt)
+            assert not os.path.exists(
+                os.path.join(manager.root, "checkpoints")
+            )
         finally:
             manager.shutdown(drain_s=30)
 
@@ -226,9 +230,9 @@ class TestCancelAndRecovery:
             assert report["n_runs"] == 120
             if first["state"] == "cancelled":
                 counters = report["telemetry"]["counters"]
-                restored = counters.get("serve.checkpoint_restored", 0)
-                hits = counters.get("serve.store_hits", 0)
-                assert restored + hits > 0  # old work was not redone
+                # old work was not redone: it came back from the store
+                assert counters.get("serve.store_hits", 0) > 0
+                assert "serve.checkpoint_restored" not in counters
         finally:
             revived.shutdown(drain_s=30)
 
@@ -250,26 +254,6 @@ class TestCancelAndRecovery:
         assert status["state"] == "interrupted"
         assert "daemon died" in status["error"]
         revived.shutdown()
-
-    def test_gc_drops_only_dead_checkpoints(self, manager):
-        # a finished campaign's journal is deleted by the scheduler;
-        # forge one orphan and one belonging to an interrupted job
-        job = manager.submit("check", SMALL_CHECK)
-        manager.wait(job["id"], timeout_s=120)
-        orphan = os.path.join(manager.checkpoints_dir, "orphan.jsonl")
-        with open(orphan, "w") as fh:
-            fh.write("{}\n")
-        live = os.path.join(manager.checkpoints_dir, "live.jsonl")
-        with open(live, "w") as fh:
-            fh.write("{}\n")
-        with manager._lock:
-            interrupted = manager._jobs[job["id"]]
-        interrupted.state = "interrupted"
-        interrupted.campaign = "live"
-        out = manager.gc()
-        assert out["checkpoints_dropped"] == 1
-        assert not os.path.exists(orphan)
-        assert os.path.exists(live)
 
 
 @pytest.fixture(scope="module")
@@ -335,4 +319,4 @@ class TestHTTP:
     def test_gc_over_http(self, daemon):
         client = ServeClient(daemon.url)
         out = client.gc(max_entries=100000)
-        assert "evicted" in out and "checkpoints_dropped" in out
+        assert "evicted" in out and "kept" in out

@@ -76,7 +76,7 @@ class TestSubmitFlow:
         rc = cli(daemon, "gc")
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert "evicted" in doc and "checkpoints_dropped" in doc
+        assert "evicted" in doc and "kept" in doc
 
     def test_submit_without_kind_or_report_is_an_error(
         self, daemon, capsys

@@ -1,4 +1,4 @@
-"""The batch scheduler: caching, checkpoint resume, graceful interrupt."""
+"""The batch scheduler: caching, resume from store or journal, interrupt."""
 
 import json
 import threading
@@ -76,6 +76,23 @@ class TestPoolFeed:
         assert out == [{"value": i * i} for i in range(12)]
         assert log[:log.index("absorb")].count("shard") == 4
         assert log.count("shard") == 12
+
+    def test_interrupt_mid_shard_absorbs_the_whole_shard(self):
+        # a signal that lands while the parent absorbs a finished shard
+        # must not drop that shard's other, already computed units
+        sched = BatchScheduler(workers=2, shard_size=4)
+        orig_tick = sched._tick
+
+        def tick_then_interrupt(result, counters):
+            orig_tick(result, counters)
+            if sched.last_run_stats.get("executed") == 1:
+                raise KeyboardInterrupt
+
+        sched._tick = tick_then_interrupt
+        with pytest.raises(CampaignInterrupted) as err:
+            sched.run(units_for(40), task=square, encode=encode_result)
+        assert err.value.done % 4 == 0
+        assert sched.last_run_stats["executed"] == err.value.done
 
 
 class TestStoreShortCircuit:
@@ -181,31 +198,50 @@ class TestCheckpointResume:
         assert out[7] == {"value": 49}          # torn unit re-ran
         assert resumed.last_run_stats["checkpoint_restored"] == 4
 
-    def test_store_hits_are_journaled_too(self, tmp_path):
-        # a resumed campaign must not depend on the store staying warm:
-        # hits get appended to the checkpoint like fresh executions
+    def test_a_store_is_the_only_record(self, tmp_path):
+        # with a store, a journal path is not used: each finished unit
+        # is recorded once, in the store, and the resume reads it there
         store = ResultStore(str(tmp_path / "store"))
-        BatchScheduler(workers=1, store=store).run(
-            units_for(3), task=square          # warm units 0..2 only
-        )
-        task = _CancelAfter(1)                 # stop after one execution
-        ckpt = str(tmp_path / "c.jsonl")
+        ckpt = tmp_path / "c.jsonl"
+        task = _CancelAfter(3)
         sched = BatchScheduler(
-            workers=1, store=store, checkpoint_path=ckpt, campaign="c",
-            cancel=task.cancel,
+            workers=1, store=store, checkpoint_path=str(ckpt),
+            campaign="c", cancel=task.cancel,
         )
         with pytest.raises(CampaignInterrupted) as err:
-            sched.run(units_for(5), task=task)
-        assert err.value.done == 4             # 3 hits + 1 executed
-        assert sched.last_run_stats == {"store_hits": 3, "executed": 1}
+            sched.run(units_for(8), task=task)
+        assert err.value.done == 3
+        assert f"resumable via store {store.root}" in str(err.value)
+        assert not ckpt.exists()
 
-        # resume with a COLD store: the journal alone must carry all 4
-        resumed = BatchScheduler(workers=1, checkpoint_path=ckpt, campaign="c")
-        out = resumed.run(units_for(5), task=square)
-        assert resumed.last_run_stats == {
-            "checkpoint_restored": 4, "executed": 1,
-        }
-        assert out == [{"value": i * i} for i in range(5)]
+        resumed = BatchScheduler(
+            workers=1, store=store, checkpoint_path=str(ckpt), campaign="c",
+        )
+        out = resumed.run(units_for(8), task=square)
+        assert resumed.last_run_stats == {"store_hits": 3, "executed": 5}
+        assert out == [{"value": i * i} for i in range(8)]
+        assert not ckpt.exists()
+
+    def test_interrupt_inside_absorb_records_the_unit_once(self, tmp_path):
+        # a signal that lands while a finished unit is being counted
+        # (the CLI's progress print) must not persist or count it twice
+        ckpt = tmp_path / "c.jsonl"
+        sched = BatchScheduler(
+            workers=1, checkpoint_path=str(ckpt), campaign="c"
+        )
+        orig_tick = sched._tick
+
+        def tick_then_interrupt(result, counters):
+            orig_tick(result, counters)
+            if sched.last_run_stats.get("executed") == 2:
+                raise KeyboardInterrupt
+
+        sched._tick = tick_then_interrupt
+        with pytest.raises(CampaignInterrupted) as err:
+            sched.run(units_for(5), task=square)
+        assert err.value.done == 2
+        assert sched.last_run_stats == {"executed": 2}
+        assert len(ckpt.read_text().splitlines()) == 1 + 2
 
 
 class TestCheckpointFile:
@@ -245,7 +281,7 @@ class TestCancelEvent:
         store = ResultStore(str(tmp_path / "store"))
         sched = BatchScheduler(
             workers=2, store=store, shard_size=1, cancel=cancel,
-            checkpoint_path=str(tmp_path / "c.jsonl"), campaign="c",
+            campaign="c",
         )
 
         class _TripAfterFirst:
@@ -266,9 +302,9 @@ class TestCancelEvent:
             sched.run(units_for(40), task=square, encode=encode_result)
         assert 2 <= err.value.done < 40
         assert len(err.value.results) == err.value.done
-        # every drained result is durable: store + journal agree
+        # every drained result is durable, in the store
         assert store.writes == err.value.done
-        restored = Checkpoint(
-            str(tmp_path / "c.jsonl"), "c", 40
-        ).load()
-        assert len(restored) == err.value.done
+        assert all(
+            store.get(unit_key("sched-test", i=i)) == {"value": i * i}
+            for i in err.value.results
+        )
