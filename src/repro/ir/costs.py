@@ -16,15 +16,25 @@ classifier ``nv_of(name)``: ``True`` for non-volatile memory (FRAM),
 variable in scope (it lives in a register) or a name the program does
 not hold.
 
-Runtime policy prices (privatization prologues, commit write-backs,
-checkpoints, EaseIO's DMA flag checks) stay with each runtime.
+The charges a runtime inserts around the program (a task's copy-in
+and write-back, a checkpoint and its restore) are priced here too,
+each by one function both execution paths call; only EaseIO's flag
+checks and flag clears stay with EaseIO.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ProgramError
 from repro.hw.dma import transfer_us
@@ -179,6 +189,39 @@ def copy_words_us(
 ) -> float:
     """A whole-variable FRAM copy: one word move per data word."""
     return words_of(cw.src) * cost.priv_word_us
+
+
+def copy_in(
+    cost: CostModel,
+    names: Iterable[str],
+    words_of: Callable[[str], int],
+    dispatch_us: float,
+) -> Tuple[float, int]:
+    """(duration, words moved) of a task's entry: a kernel dispatch
+    (0 for a runtime without one), then a copy of each privatized
+    variable."""
+    n = sum(words_of(var) for var in names)
+    return dispatch_us + n * cost.priv_word_us, n
+
+
+def write_back_us(
+    cost: CostModel, names: Iterable[str], words_of: Callable[[str], int]
+) -> float:
+    """A task's commit-time write-back of its privatized variables."""
+    return sum(words_of(var) for var in names) * cost.commit_word_us
+
+
+def checkpoint_us(cost: CostModel, words: int) -> float:
+    """One two-phase checkpoint of a ``words``-word volatile snapshot."""
+    return (
+        cost.commit_base_us / 2.0 + words * cost.commit_word_us
+        + cost.flag_set_us
+    )
+
+
+def restore_us(cost: CostModel, words: int) -> float:
+    """Reading the checkpoint back: its validity check, then the words."""
+    return cost.flag_check_us + words * cost.priv_word_us
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ SERIES_ENV = "REPRO_OBS_SERIES"
 
 #: fields excluded from the identity digest — everything that varies
 #: between two executions of the *same* work: wall time, throughput,
-#: cache provenance, and the digest/stamp machinery itself
+#: cache provenance (``store`` only in points recorded before the store
+#: counters were read live), and the digest/stamp machinery itself
 VOLATILE_FIELDS = frozenset((
     "digest",
     "schema",
@@ -319,7 +320,6 @@ def record_campaign_point(
     units: int,
     telemetry=None,
     stats: Optional[Mapping[str, int]] = None,
-    store_delta: Optional[Mapping[str, int]] = None,
     series: Optional[SeriesStore] = None,
 ) -> Optional[Dict[str, object]]:
     """One finished campaign -> one series point (the scheduler seam).
@@ -357,8 +357,6 @@ def record_campaign_point(
         doc["divergence_by_class"] = divergence_by_class(by_kind, units)
     if stats:
         doc["serve"] = {k: int(v) for k, v in sorted(stats.items())}
-    if store_delta:
-        doc["store"] = {k: int(v) for k, v in sorted(store_delta.items())}
     return target.record_point(doc)
 
 

@@ -15,13 +15,13 @@ Key structural choices that reproduce the paper's phenomena:
   variables resolve to cells in SRAM/FRAM; the runtime itself keeps its
   progress cursor (``__cur_task``) in FRAM.  After a reboot,
   ``start()`` resumes purely from non-volatile state.
-* **CPU accesses are virtualizable, DMA is not.**  Subclasses install
-  per-task *redirects* to privatize CPU variable accesses (Alpaca's
-  WAR privatization, InK's working copies).  DMA endpoints always
-  resolve through :meth:`Environment.addr_of`, which ignores
-  redirects: DMA configuration takes raw pointers, which is exactly
-  why task-level privatization cannot protect DMA traffic (paper
-  section 2.1.2).
+* **CPU accesses are virtualizable, DMA is not.**
+  :class:`PrivatizingRuntime` installs per-task *redirects* to
+  privatize CPU variable accesses (Alpaca's WAR privatization, InK's
+  working copies).  DMA endpoints always resolve through
+  :meth:`Environment.addr_of`, which ignores redirects: DMA
+  configuration takes raw pointers, which is exactly why task-level
+  privatization cannot protect DMA traffic (paper section 2.1.2).
 * **Loop variables live in registers** (Python-side interpreter
   context): they cost nothing to access and die with the attempt.
 * **Prices come from** :mod:`repro.ir.costs`, charged per executed
@@ -30,7 +30,11 @@ Key structural choices that reproduce the paper's phenomena:
 Subclass hooks: ``_task_prologue`` (per-attempt entry work),
 ``_commit_steps`` (pre-commit work such as write-backs),
 ``_commit_effects`` (state folded into the atomic commit),
-``_exec_dma`` (DMA policy — EaseIO overrides it).
+``_exec_dma`` (DMA policy — EaseIO overrides it), and their
+``vm_lower_*`` counterparts for the VM lowerer.
+:class:`PrivatizingRuntime` fills the entry and commit hooks on both
+paths for the two task-level privatizers, Alpaca and InK, which only
+choose what a task copies and what it writes back.
 """
 
 from __future__ import annotations
@@ -217,8 +221,8 @@ class Environment:
         sym = self.symbol(name, follow_redirect=False)
         return sym.addr + int(offset_elems) * int(np.dtype(sym.dtype).itemsize)
 
-    def copy_words(self, src: str, dst: str) -> int:
-        """Bulk copy variable ``src`` into ``dst``; returns word count.
+    def copy_words(self, src: str, dst: str) -> None:
+        """Bulk copy variable ``src`` into ``dst``.
 
         Used by runtime privatization (CPU-driven, hence costed by the
         caller); both symbols must have identical shape.
@@ -232,7 +236,6 @@ class Environment:
             )
         data = self.machine.space.read(s.addr, s.nbytes)
         self.machine.space.write(d.addr, data)
-        return costs.words(s.nbytes)
 
     def snapshot_nv(self, names: Sequence[str]) -> Dict[str, object]:
         """Read NV variables for correctness comparison."""
@@ -838,3 +841,151 @@ class TaskRuntime:
     def vm_lower_dma(self, lw, dma: A.DMACopy, ctx) -> None:
         """Lower a DMA copy; base policy transfers unconditionally."""
         lw.lower_dma_base(dma, ctx)
+
+
+class PrivatizingRuntime(TaskRuntime):
+    """Task-level privatization: the one policy of Alpaca and InK.
+
+    Each task works on copies of a *copy set* of its non-volatile
+    variables.  Every attempt copies them in and redirects the task's
+    CPU accesses to the copies; the commit writes the *publish set*
+    (a subset) back, atomically with the transition.  An interrupted
+    attempt leaves the originals untouched.  DMA endpoints resolve to
+    raw addresses and bypass the copies (:meth:`Environment.addr_of`).
+
+    Subclasses supply the two sets (:meth:`_task_sets`) and the class
+    constants below.  Each execution path codes the policy once: the
+    interpreter in ``_task_prologue``, ``_commit_steps`` and
+    ``_commit_effects``, the lowerer in ``vm_redirects``,
+    ``vm_lower_prologue`` and ``vm_lower_commit``.  The two share only
+    prices: :func:`repro.ir.costs.copy_in` and the cost-only
+    ``_commit_steps``.
+    """
+
+    #: a task's copy of ``var`` is named ``<copy_prefix><task>_<var>``
+    copy_prefix: str
+    #: storage class of the copies
+    copy_storage: str
+    #: energy category of the copy-in step
+    copy_category: str
+    #: the PRIVATIZE event's region is ``<region_label>:<task>``
+    region_label: str
+    #: fixed kernel cost of every attempt's entry; with none, a task
+    #: that copies nothing has no entry step at all
+    dispatch_us = 0.0
+
+    def _task_sets(self, task: A.Task) -> Tuple[List[str], List[str]]:
+        """(copy set, publish set) of ``task``, in copy order."""
+        raise NotImplementedError
+
+    def _load(self) -> None:
+        #: task name -> {var: copy}, copied in at every attempt
+        self._copies: Dict[str, Dict[str, str]] = {}
+        #: task name -> {var: copy}, written back at commit
+        self._publish: Dict[str, Dict[str, str]] = {}
+        for task in self.program.tasks:
+            copy_set, publish = self._task_sets(task)
+            copies = {
+                var: f"{self.copy_prefix}{task.name}_{var}"
+                for var in copy_set
+            }
+            for var, copy in copies.items():
+                decl = self.program.decl(var)
+                self.env.add_runtime_var(
+                    copy, self.copy_storage, decl.dtype, decl.length
+                )
+            self._copies[task.name] = copies
+            self._publish[task.name] = {
+                var: copy for var, copy in copies.items() if var in publish
+            }
+
+    # -- interpreter ---------------------------------------------------------
+
+    def _task_prologue(self, task: A.Task) -> Iterator[Step]:
+        """Dispatch, copy-in and redirects (every attempt)."""
+        copies = self._copies[task.name]
+        if not (copies or self.dispatch_us):
+            return
+        duration, words = costs.copy_in(
+            self.machine.cost, copies, self.env.words_of, self.dispatch_us
+        )
+        yield Step(duration, OVERHEAD, self.copy_category)
+        for var, copy in copies.items():
+            self.env.copy_words(var, copy)
+        self.env.redirects.update(copies)
+        if copies:
+            self.machine.trace.emit(
+                self.machine.now_us, T.PRIVATIZE, task=task.name,
+                region=f"{self.region_label}:{task.name}", nbytes=words * 2,
+                duration_us=duration,
+            )
+
+    def _commit_steps(self, task: A.Task) -> Iterator[Step]:
+        """The write-back's cost."""
+        publish = self._publish[task.name]
+        if publish:
+            yield Step(
+                costs.write_back_us(
+                    self.machine.cost, publish, self.env.words_of
+                ),
+                OVERHEAD, "fram",
+            )
+
+    def _commit_effects(self, task: A.Task) -> None:
+        """The write-back, atomic with the commit point.
+
+        Alpaca's real commit replays a redo log until a commit flag
+        flips, and InK's flips a double-buffer index; folding the
+        copies into the commit keeps what both guarantee: the task's
+        updates and its transition land together, or neither does.
+        """
+        for var, copy in self._publish[task.name].items():
+            self.env.copy_words(copy, var)
+
+    # -- VM lowering ---------------------------------------------------------
+
+    def vm_redirects(self, task: A.Task) -> Dict[str, str]:
+        return self._copies[task.name]
+
+    def vm_lower_prologue(self, lw, task: A.Task) -> None:
+        """Dispatch and copy-in as one charged instruction."""
+        copies = self._copies[task.name]
+        if not (copies or self.dispatch_us):
+            return
+        duration, words = costs.copy_in(
+            self.machine.cost, copies, self.env.words_of, self.dispatch_us
+        )
+        pairs = [lw.copy_pair(var, copy) for var, copy in copies.items()]
+        region = f"{self.region_label}:{task.name}" if copies else None
+        cat = self.copy_category
+        idx = lw.emit(duration, OVERHEAD, cat, None)
+
+        def build(_p=pairs, _t=task.name, _r=region, _nb=words * 2,
+                  _d=duration, _e=self.machine.trace.emit, _n=idx + 1):
+            def eff(now, _p=_p, _t=_t, _r=_r, _nb=_nb, _d=_d, _e=_e, _n=_n):
+                for dv, sv in _p:
+                    dv[:] = sv
+                if _r is not None:
+                    _e(
+                        now, T.PRIVATIZE, task=_t, region=_r, nbytes=_nb,
+                        duration_us=_d,
+                    )
+                return _n
+            return eff
+
+        lw.specs[idx] = (duration, OVERHEAD, cat, build)
+
+    def vm_lower_commit(self, lw, task: A.Task, next_task: Optional[str]) -> None:
+        """The write-back's cost, then the commit with prebound views."""
+        for step in self._commit_steps(task):  # cost only
+            lw.emit_cost_step(step)
+        pairs = [
+            lw.copy_pair(copy, var)
+            for var, copy in self._publish[task.name].items()
+        ]
+
+        def write_back(_p=pairs):
+            for dv, sv in _p:
+                dv[:] = sv
+
+        lw.lower_commit(task, next_task, write_back if pairs else None)

@@ -40,6 +40,7 @@ from typing import Iterator, List
 from repro.errors import ProgramError
 from repro.hw import trace as T
 from repro.ir import ast as A
+from repro.ir import costs
 from repro.kernel.stats import OVERHEAD, Step
 from repro.runtimes.base import TaskRuntime, _TaskExit
 
@@ -75,14 +76,6 @@ class SamoyedRuntime(TaskRuntime):
 
     # -- checkpoint mechanics ------------------------------------------------
 
-    def _checkpoint_cost_us(self) -> float:
-        c = self.machine.cost
-        return (
-            c.commit_base_us / 2.0
-            + self._snapshot_words * c.commit_word_us
-            + c.flag_set_us
-        )
-
     def _take_checkpoint(self, stmt_index: int) -> None:
         """Write the inactive slot, then flip the selector (two-phase)."""
         inactive = 1 - int(self.env.cell("__smy_slot").get())
@@ -109,7 +102,10 @@ class SamoyedRuntime(TaskRuntime):
     # -- execution loop ----------------------------------------------------------
 
     def start(self) -> Iterator[Step]:
-        c = self.machine.cost
+        restore_us = costs.restore_us(self.machine.cost, self._snapshot_words)
+        checkpoint_us = costs.checkpoint_us(
+            self.machine.cost, self._snapshot_words
+        )
         while not self.completed:
             self._loop_vars.clear()  # see TaskRuntime.start
             idx = int(self.env.cell("__cur_task").get())
@@ -117,11 +113,7 @@ class SamoyedRuntime(TaskRuntime):
             seq = int(self.env.cell("__task_seq").get())
             self._attempts[seq] = self._attempts.get(seq, 0) + 1
             # restore the last checkpoint (cost: read the snapshot back)
-            yield Step(
-                c.flag_check_us + self._snapshot_words * c.priv_word_us,
-                OVERHEAD,
-                "fram",
-            )
+            yield Step(restore_us, OVERHEAD, "fram")
             resume_at = self._restore_checkpoint()
             self.machine.trace.emit(
                 self.machine.now_us,
@@ -141,7 +133,7 @@ class SamoyedRuntime(TaskRuntime):
                 for i in range(resume_at, len(task.body)):
                     yield from self._exec_stmt(task.body[i])
                     # atomic unit finished: checkpoint past it
-                    yield Step(self._checkpoint_cost_us(), OVERHEAD, "fram")
+                    yield Step(checkpoint_us, OVERHEAD, "fram")
                     self._take_checkpoint(i + 1)
             except _TaskExit as exit_:
                 if exit_.halted:
@@ -228,14 +220,13 @@ class SamoyedRuntime(TaskRuntime):
     def vm_lower_task(self, lw, task: A.Task, index: int) -> None:
         """Per-statement atomic units: restore, stmt+checkpoint pairs."""
         ctx = lw.begin_task(task)
-        c = self.machine.cost
         restore_fn, take_fn = self._vm_ckpt_closures(lw)
         stmt_labels = [lw.label() for _ in range(len(task.body) + 1)]
         seq_get = lw.scalar_get("__task_seq")
         nbytes = self._snapshot_words * 2
 
         # -- checkpoint restore (the per-attempt entry) ------------------
-        dur = c.flag_check_us + self._snapshot_words * c.priv_word_us
+        dur = costs.restore_us(self.machine.cost, self._snapshot_words)
         ridx = lw.emit(dur, OVERHEAD, "fram", None)
 
         def build_restore(_labels=stmt_labels, _r=restore_fn, _sg=seq_get,
@@ -263,7 +254,9 @@ class SamoyedRuntime(TaskRuntime):
         lw.specs[ridx] = (dur, OVERHEAD, "fram", build_restore)
 
         # -- statements, each followed by its checkpoint -----------------
-        ckpt_dur = self._checkpoint_cost_us()
+        ckpt_dur = costs.checkpoint_us(
+            self.machine.cost, self._snapshot_words
+        )
         for i, stmt in enumerate(task.body):
             lw.mark(stmt_labels[i])
             lw.lower_stmt(stmt, ctx)

@@ -320,7 +320,7 @@ class JobManager:
                 report = run_kind(
                     kind, job.cfg, cancel=job.cancel,
                     telemetry=job.telemetry, series=self.series,
-                    events=events, fleet=fleet_handle,
+                    events=events, fleet=fleet_handle, store=self.store,
                 )
                 self._persist_report(job, report.to_json())
                 job.state = "done"

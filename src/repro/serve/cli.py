@@ -80,7 +80,8 @@ def _cmd_start(args) -> int:
 def _flag_config(args, kind: str) -> Dict[str, object]:
     """The submit flags that name fields of ``kind``'s config.
 
-    Flags left unset (``None``) keep the config's own default.
+    Flags left unset (``None``) keep the config's own default, so a
+    served job is the campaign the same CLI run would be.
     """
     flags: Dict[str, object] = {
         "app": args.app,
@@ -92,11 +93,11 @@ def _flag_config(args, kind: str) -> Dict[str, object]:
         "runs": args.runs,
         "failures_per_run": args.failures_per_run,
         "limit": args.limit,
-        "runtimes": [
+        "runtimes": None if args.runtimes is None else [
             rt.strip() for rt in args.runtimes.split(",") if rt.strip()
         ],
-        "trace_events": not args.no_events,
-        "shrink": not args.no_shrink,
+        "trace_events": False if args.no_events else None,
+        "shrink": False if args.no_shrink else None,
     }
     fields = {f.name for f in dataclasses.fields(campaign_kind(kind).config)}
     return {
@@ -123,6 +124,8 @@ def _cmd_submit(args) -> int:
         raise ReproError("submit needs a campaign kind or --from-report")
     job = client.submit(kind, config, fleet=args.fleet)
     job_id = str(job["id"])
+    if job["state"] == "failed":  # the kind rejected the config
+        raise ReproError(f"{kind} job {job_id} rejected: {job['error']}")
     mode = " (fleet)" if args.fleet else ""
     print(f"submitted {kind} job {job_id}{mode} "
           f"(campaign {job['campaign']})")
@@ -241,18 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
                         + " (omit with --from-report)")
     p.add_argument("--from-report", default=None, metavar="FILE",
                    help="re-submit the campaign embedded in a JSON report")
-    p.add_argument("--app", default="fir")
-    p.add_argument("--runtime", default="easeio", choices=_RUNTIMES)
-    p.add_argument("--mode", default="exhaustive",
-                   choices=["exhaustive", "random"])
+    # an unset flag is left out of the config: the kind's default holds
+    p.add_argument("--app", default=None, help="check: the app (required)")
+    p.add_argument("--runtime", default=None, choices=_RUNTIMES)
+    p.add_argument("--mode", default=None, choices=["exhaustive", "random"])
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--failures-per-run", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--env-seed", type=int, default=1)
+    p.add_argument("--runs", type=int, default=None)
+    p.add_argument("--failures-per-run", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--env-seed", type=int, default=None)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--runtimes", default=",".join(_RUNTIMES),
-                   help="fuzz: comma-separated runtimes (default all)")
+    p.add_argument("--runtimes", default=None,
+                   help="fuzz, env-sweep: comma-separated runtimes")
     p.add_argument("--no-events", action="store_true")
     p.add_argument("--no-shrink", action="store_true")
     p.add_argument("--fleet", action="store_true",

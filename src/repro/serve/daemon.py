@@ -365,16 +365,12 @@ class ServeClient:
         self,
         url: str,
         timeout_s: float = 30.0,
-        connect_timeout_s: Optional[float] = None,
         retries: int = 3,
         backoff_s: float = 0.2,
         backoff_max_s: float = 5.0,
     ) -> None:
         self.url = url.rstrip("/")
         self.timeout_s = timeout_s
-        self.connect_timeout_s = (
-            connect_timeout_s if connect_timeout_s is not None else timeout_s
-        )
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
         self.backoff_max_s = backoff_max_s

@@ -124,6 +124,7 @@ def run_kind(
     series=None,
     events=None,
     fleet=None,
+    store: Optional[ResultStore] = None,
 ):
     """Run one campaign of ``kind`` and fold up its report.
 
@@ -133,7 +134,9 @@ def run_kind(
     :class:`~repro.errors.CampaignInterrupted` carries a partial,
     resumable report in ``.report``.  ``telemetry`` lets a caller watch
     live progress; ``fleet`` leases the units to remote workers instead
-    of running them in this process.
+    of running them in this process.  ``store`` is an open store handle
+    to use in place of ``cfg.store_dir`` (a daemon's, shared by its
+    jobs); a store this function did not open stays open.
     """
     ctx = kind.context(cfg)
     payloads, notes = kind.units(cfg, ctx)
@@ -142,11 +145,12 @@ def run_kind(
             kind.label(cfg), len(payloads), every=kind.every,
             progress=cfg.progress,
         )
-    # The connection opens on first use, in this process, before the
-    # pool forks.  SQLite forbids using a connection across fork(); pool
-    # workers never touch the store (this process looks keys up and
-    # persists results), so the forked copy is never used.
-    store = ResultStore(cfg.store_dir) if cfg.store_dir else None
+    # SQLite forbids using a connection across fork(); pool workers
+    # never touch the store (this process looks keys up and persists
+    # results), so a forked copy of an open connection is never used.
+    owned = store is None and bool(cfg.store_dir)
+    if owned:
+        store = ResultStore(cfg.store_dir)
     # results come back re-slotted by unit index whatever the worker
     # timing, so a fold that picks the *first* failure is deterministic
     scheduler = BatchScheduler(
@@ -195,7 +199,7 @@ def run_kind(
         )
         raise
     finally:
-        if store is not None:
+        if owned:
             store.close()
     return fold(results, notes, partial=False)
 

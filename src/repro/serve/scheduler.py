@@ -186,6 +186,10 @@ def _pool_init(task, encode, user_init, user_args) -> None:
     # workers must survive the terminal's Ctrl-C so the parent can
     # drain them; the parent alone decides when the campaign stops
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # ... but die of Pool.terminate()'s SIGTERM: the CLI's inherited
+    # Python handler misses one landing just before the worker blocks
+    # on the task queue lock, and the pool's join then waits forever
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _spread_worker()
     global _TASK, _ENCODE
     _TASK, _ENCODE = task, encode
@@ -245,8 +249,6 @@ class BatchScheduler:
         self.fleet = fleet
         #: filled after every run(): how each unit was satisfied
         self.last_run_stats: Dict[str, int] = {}
-        #: store counter deltas attributable to the last run()
-        self.last_store_delta: Dict[str, int] = {}
 
     @property
     def record(self) -> str:
@@ -278,19 +280,6 @@ class BatchScheduler:
         except Exception:  # noqa: BLE001 - the log must never kill the run
             pass
 
-    def _store_counters(self) -> Dict[str, int]:
-        if self.store is None:
-            return {}
-        s = self.store
-        return {
-            "hits": s.hits,
-            "misses": s.misses,
-            "writes": s.writes,
-            "dedup": s.dedup,
-            "corrupt": s.corrupt,
-            "evicted": s.evicted,
-        }
-
     # -- the run ----------------------------------------------------------
 
     def run(
@@ -315,8 +304,7 @@ class BatchScheduler:
         if self.telemetry is not None:
             self.telemetry.total = total
         self.last_run_stats = {}
-        self.last_store_delta = {}
-        store_before = self._store_counters()
+        corrupt_before = self.store.corrupt if self.store is not None else 0
         decode_ = decode if decode is not None else (lambda enc: enc)
         results: Dict[int, object] = {}
         keys = {u.index: u.key for u in units}
@@ -379,22 +367,13 @@ class BatchScheduler:
         finally:
             if ckpt is not None:
                 ckpt.close()
-            # attribute the store's counter movement to this run; the
-            # registry fold is what /metrics and obs diff read
-            after = self._store_counters()
-            self.last_store_delta = {
-                k: after[k] - store_before.get(k, 0)
-                for k in after
-                if after[k] - store_before.get(k, 0)
-            }
-            if self.telemetry is not None and self.last_store_delta:
-                self.telemetry.registry.merge_counts(
-                    self.last_store_delta, prefix="serve.store."
-                )
-            if self.last_store_delta.get("corrupt"):
-                self._event(
-                    "heal", corrupt=self.last_store_delta["corrupt"]
-                )
+            # the store's own counters are read live (/metrics,
+            # /v1/store/stats); only the entries this run quarantined
+            # are logged here, for the job's event log
+            if self.store is not None:
+                healed = self.store.corrupt - corrupt_before
+                if healed:
+                    self._event("heal", corrupt=healed)
 
         if interrupted is not None:
             self._event(
@@ -444,7 +423,6 @@ class BatchScheduler:
                 units=total,
                 telemetry=self.telemetry,
                 stats=self.last_run_stats,
-                store_delta=self.last_store_delta,
                 series=self.series,
             )
         return [results[u.index] for u in units]

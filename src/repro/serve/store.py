@@ -54,7 +54,6 @@ from typing import Dict, List, Optional, Tuple
 from repro import fastpath
 from repro.ir.lint import LINT_VERSION
 from repro.ir.semantics import SEMANTICS_VERSION
-from repro.obs import metrics as obs_metrics
 
 #: layout/keying version of the store itself
 STORE_VERSION = 1
@@ -264,21 +263,14 @@ class ResultStore:
     def __init__(self, root: str) -> None:
         self.backend = SQLiteBackend(root)
         self.root = self.backend.root
-        # process-local traffic counters (also folded into the ambient
-        # obs registry, when one is collecting)
+        # this handle's traffic counters: a daemon reads them live
+        # (/metrics, /v1/store/stats), as its jobs share the handle
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.dedup = 0
         self.corrupt = 0
         self.evicted = 0
-
-    # -- internals --------------------------------------------------------
-
-    def _inc(self, name: str, n: int = 1) -> None:
-        ambient = obs_metrics.ambient()
-        if ambient is not None:
-            ambient.inc("serve.store." + name, n)
 
     # -- read/write -------------------------------------------------------
 
@@ -292,7 +284,6 @@ class ResultStore:
         text = self.backend.read(key)
         if text is None:
             self.misses += 1
-            self._inc("misses")
             return None
         try:
             doc = json.loads(text)
@@ -301,12 +292,9 @@ class ResultStore:
         except ValueError:
             self.corrupt += 1
             self.misses += 1
-            self._inc("corrupt")
-            self._inc("misses")
             self.backend.remove(key)
             return None
         self.hits += 1
-        self._inc("hits")
         return doc.get("result")
 
     def put(
@@ -328,10 +316,8 @@ class ResultStore:
         if not self.backend.write(key, json.dumps(doc, sort_keys=True)):
             # already stored, by this process or a racing one
             self.dedup += 1
-            self._inc("dedup")
             return False
         self.writes += 1
-        self._inc("writes")
         return True
 
     def __contains__(self, key: str) -> bool:
@@ -389,7 +375,6 @@ class ResultStore:
                 freed += size
         compacted = self.backend.compact() if removed else 0
         self.evicted += removed
-        self._inc("evicted", removed)
         return {
             "scanned": len(entries) + len(victims),
             "evicted": removed,

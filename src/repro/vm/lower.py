@@ -14,16 +14,19 @@ specialized instruction tuples:
 * loop variables become VM registers (``R[i]``), free to access, dying
   with the attempt — the interpreter's register-allocation stance;
 * each runtime contributes its policy lowering through the
-  ``vm_lower_*`` hooks on its class (Alpaca/InK privatization
-  prologues and commit write-backs, Samoyed's checkpoint/restore
-  instruction forms, EaseIO's runtime DMA-semantics branch network),
-  so policy is dispatched zero times per executed statement;
+  ``vm_lower_*`` hooks on its class (the task-level privatization
+  copy-in and commit write-back that Alpaca and InK share through
+  :class:`~repro.runtimes.base.PrivatizingRuntime`, Samoyed's
+  checkpoint/restore instruction forms, EaseIO's runtime
+  DMA-semantics branch network), so policy is dispatched zero times
+  per executed statement;
 * per-instruction charge data (duration, preallocated ``Step``,
   stats time-key, energy at the category's power draw) is precomputed
   so the executor's hot loop does no lookups.
 
 Prices come from :mod:`repro.ir.costs`, the same functions the
-interpreter charges per executed statement; here each statement is
+interpreter charges per executed statement (and per runtime-inserted
+charge: copy-in, write-back, checkpoint, restore); here each is
 priced once per compile, with the loop registers in scope free.  That
 is sound because the environment's variable population is fixed after
 runtime construction.

@@ -30,7 +30,7 @@ class TestSharedStateBuffering:
             t.assign("bb", t.v("a"))  # read
             t.halt()
         rt = InKRuntime(b.build(), build_machine())
-        assert set(rt._shared["t"]) == {"a", "bb"}  # noqa: SLF001
+        assert set(rt._copies["t"]) == {"a", "bb"}  # noqa: SLF001
 
     def test_write_only_flags_are_protected(self):
         """Unlike Alpaca, InK's full buffering shields Fig. 2c flags

@@ -128,6 +128,18 @@ class TestMetricsEndpoint:
             ]
             assert count and count[0] == values[-1]
 
+    def test_each_family_is_typed_once(self, client, finished_job):
+        """A scraper rejects a family typed twice; a warm job (store
+        hits) is where a second store-hit family could come from."""
+        job = client.submit("check", SMALL_CHECK)
+        assert client.wait(job["id"], timeout_s=120)["state"] == "done"
+        families = [
+            line.split()[2] for line in client.metrics().splitlines()
+            if line.startswith("# TYPE ")
+        ]
+        repeated = sorted({f for f in families if families.count(f) > 1})
+        assert not repeated
+
 
 class TestAnalyticsEndpoint:
     def test_matches_local_aggregate(self, daemon, client, finished_job):

@@ -121,6 +121,16 @@ class TestDedupAcrossJobs:
         assert counters.get("serve.store_hits", 0) == 5
         assert counters.get("serve.executed", 0) == 0
 
+    def test_jobs_count_on_the_managers_store(self, manager):
+        """/metrics and /v1/store/stats read the handle jobs use."""
+        for _ in ("cold", "warm"):
+            job = manager.submit("check", SMALL_CHECK)
+            assert manager.wait(job["id"], timeout_s=120)["state"] == "done"
+        assert manager.store.writes == manager.store.hits == 5
+        text = manager.metrics_text()
+        assert "\nrepro_store_writes 5\n" in text
+        assert "\nrepro_store_hits 5\n" in text
+
     def test_submit_from_report_replays_the_campaign(self, manager):
         first = manager.submit("check", SMALL_CHECK)
         manager.wait(first["id"], timeout_s=120)

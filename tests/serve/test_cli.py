@@ -5,8 +5,10 @@ import threading
 
 import pytest
 
+from repro.serve.cli import _flag_config, build_parser
 from repro.serve.cli import main as serve_main
 from repro.serve.daemon import make_server
+from repro.serve.kinds import campaign_kind, kinds
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +88,30 @@ class TestSubmitFlow:
         assert rc == 2
         assert "kind or --from-report" in err
 
+    def test_check_without_app_is_rejected(self, daemon, capsys):
+        rc = cli(daemon, "submit", "check")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "rejected" in err and "'app'" in err
+
     def test_unreachable_daemon_is_a_clean_error(self, capsys):
         rc = serve_main(["status", "--url", "http://127.0.0.1:9",
                          "--timeout", "2"])
         err = capsys.readouterr().err
         assert rc == 2
         assert "cannot reach serve daemon" in err
+
+
+@pytest.mark.parametrize("kind", sorted(kinds()))
+def test_unset_submit_flags_keep_the_kinds_defaults(kind):
+    """A job built from flags is the campaign the same CLI run is: it
+    has the digest of the kind's default config, so both share store
+    entries."""
+    spec = campaign_kind(kind)
+    required = {"app": "fir"} if kind == "check" else {}
+    argv = ["submit", kind] + (["--app", "fir"] if required else [])
+    config = _flag_config(build_parser().parse_args(argv), kind)
+    assert config == required
+    assert spec.digest(spec.decode_config(config)) == spec.digest(
+        spec.config(**required)
+    )

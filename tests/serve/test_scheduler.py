@@ -1,6 +1,7 @@
 """The batch scheduler: caching, resume from store or journal, interrupt."""
 
 import json
+import signal
 import threading
 
 import pytest
@@ -21,6 +22,10 @@ def encode_result(result):
 
 def decode_result(encoded):
     return {"value": encoded["value"], "decoded": True}
+
+
+def sigterm_is_default(payload):
+    return {"default": signal.getsignal(signal.SIGTERM) == signal.SIG_DFL}
 
 
 def units_for(n, with_keys=True):
@@ -47,6 +52,19 @@ class TestBasicRuns:
             units_for(9), task=square, encode=encode_result
         )
         assert pooled == inline
+
+    def test_pool_workers_die_of_sigterm(self):
+        """Pool.terminate() stops workers with SIGTERM, so a worker must
+        not keep the Python SIGTERM handler a CLI parent installs: one
+        that misses the signal blocks the pool's join for good."""
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            out = BatchScheduler(workers=2, shard_size=1).run(
+                units_for(2, with_keys=False), task=sigterm_is_default
+            )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert out == [{"default": True}] * 2
 
     def test_decode_applied_exactly_once(self):
         out = BatchScheduler(workers=1).run(

@@ -19,9 +19,14 @@ import pytest
 
 from repro.check import CampaignConfig, run_campaign
 from repro.core.api import ProgramBuilder
-from repro.core.run import nv_state, run_app, run_program
+from repro.core.run import build_runtime, nv_state, run_app, run_program
+from repro.hw import trace as T
+from repro.hw.mcu import CostModel
+from repro.kernel.executor import IntermittentExecutor
 from repro.kernel.power import NoFailures, UniformFailureModel
+from repro.kernel.stats import OVERHEAD
 from repro.obs import metrics as M
+from repro.runtimes.ink import InKRuntime
 from tests.conftest import on_sim_path
 
 APPS = ("uni_dma", "uni_temp", "uni_lea", "fir", "weather")
@@ -133,3 +138,69 @@ def test_loop_register_ends_with_its_task(runtime):
         )
     assert observed["vm"][0] == 7
     assert observed["reference"] == observed["vm"]
+
+
+def _privatization_edges():
+    """Task ``idle`` touches no NV variable.  Task ``use`` reads
+    ``buf``, never writes it, and a DMA then overwrites ``buf`` in
+    place.  No task has a WAR variable."""
+    b = ProgramBuilder("privatization_edges")
+    b.nv_array("src", 4, init=[5, 6, 7, 8])
+    b.nv_array("buf", 4, init=[1, 2, 3, 4])
+    b.nv("x")
+    with b.task("idle") as t:
+        t.compute(100)
+        t.transition("use")
+    with b.task("use") as t:
+        t.assign("x", t.at("buf", 0))
+        t.dma_copy("src", "buf", 8)
+        t.halt()
+    return b.build()
+
+
+def _observe_privatization(runtime):
+    """(bytecode attached?, (OVERHEAD steps, PRIVATIZE tasks, NV x/buf))
+    of one continuous run."""
+    rt = build_runtime(_privatization_edges(), runtime)
+    steps = []
+
+    def observe(now, step):
+        if step.kind == OVERHEAD:
+            steps.append(
+                (rt.current_task_name(), step.duration_us, step.category)
+            )
+
+    assert IntermittentExecutor(step_observer=observe).run(rt).completed
+    privatized = [
+        e.detail["task"] for e in rt.machine.trace.events
+        if e.kind == T.PRIVATIZE
+    ]
+    state = rt.result_state(("x", "buf"))
+    return getattr(rt, "_vm", None) is not None, (
+        steps, privatized, (state["x"], list(state["buf"])),
+    )
+
+
+@pytest.mark.parametrize("runtime", ("alpaca", "ink"))
+def test_privatization_edge_cases(runtime):
+    """Alpaca gives a task with no WAR variable no entry step; InK
+    charges its dispatch to a task that copies nothing, with no
+    PRIVATIZE event; InK publishes no read-only working copy, so the
+    DMA's write to ``buf`` survives the commit.  Same on both paths."""
+    with on_sim_path("reference"):
+        ref_bytecode, reference = _observe_privatization(runtime)
+    with on_sim_path("vm"):
+        vm_bytecode, vm = _observe_privatization(runtime)
+    assert not ref_bytecode and vm_bytecode
+    assert vm == reference
+    steps, privatized, nv = vm
+    commit = CostModel().commit_base_us
+    assert nv == (1, [5, 6, 7, 8])
+    if runtime == "alpaca":
+        assert steps == [("idle", commit, "fram"), ("use", commit, "fram")]
+        assert privatized == []
+    else:
+        assert steps[:2] == [
+            ("idle", InKRuntime.dispatch_us, "fram"), ("idle", commit, "fram"),
+        ]
+        assert privatized == ["use"]
