@@ -10,7 +10,7 @@ same verdict with no shared state.  The only traffic is the schedule
 in and the (small, JSON-encoded) verdict out.  ``workers=1`` runs
 inline, which keeps single-process debugging (pdb, coverage) trivial
 and is what the test suite uses.  With ``store_dir`` set, per-schedule
-verdicts are content-addressed (:func:`check_unit_key`), cache hits
+verdicts are content-addressed (:func:`check_unit_keys`), cache hits
 short-circuit simulation, and an interrupted campaign re-run under the
 same config resumes exactly where it died; without a store,
 ``checkpoint`` names a journal that does the resuming.
@@ -41,7 +41,11 @@ from repro.ir.lint import LINT_VERSION
 from repro.ir.semantics import SEMANTICS_VERSION
 from repro.obs.campaign import CampaignTelemetry
 from repro.serve.kinds import CampaignKind, run_kind
-from repro.serve.store import campaign_digest, program_digest, unit_key
+# unit_key is unused here but stays importable: perfbench's traced
+# ledger wraps this module's unit_key and program_digest
+from repro.serve.store import (  # noqa: F401
+    campaign_digest, program_digest, unit_key, unit_keys,
+)
 
 
 @dataclass
@@ -217,13 +221,18 @@ def check_campaign_digest(cfg: CampaignConfig) -> str:
     return campaign_digest("check", **_campaign_identity(cfg))
 
 
-def check_unit_key(cfg: CampaignConfig, schedule: Schedule) -> str:
-    """Store key of one injected run (the campaign's unit of work)."""
-    return unit_key(
-        "check-unit",
+def check_unit_keys(
+    cfg: CampaignConfig, schedules: List[Schedule]
+) -> List[str]:
+    """Store keys of the campaign's injected runs (its units of work).
+
+    Each is ``unit_key("check-unit", schedule=list(schedule), ...)``;
+    the fields every schedule shares are rendered and hashed once.
+    """
+    return unit_keys(
+        "check-unit", "schedule", schedules,
         program=program_digest(cfg.app, cfg.build_kwargs),
         runtime=cfg.runtime,
-        schedule=list(schedule),
         env_seed=cfg.env_seed,
         env=describe_env(cfg.env),
         trace_events=cfg.trace_events,
@@ -383,7 +392,7 @@ CHECK = CampaignKind(
     config=CampaignConfig,
     report=CampaignReport,
     digest=check_campaign_digest,
-    unit_key=check_unit_key,
+    unit_keys=check_unit_keys,
     context=context,
     units=units,
     run_unit=run_unit,

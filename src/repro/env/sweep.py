@@ -354,7 +354,9 @@ SWEEP = CampaignKind(
     config=SweepConfig,
     report=SweepReport,
     digest=sweep_campaign_digest,
-    unit_key=sweep_unit_key,
+    unit_keys=lambda cfg, payloads: [
+        sweep_unit_key(cfg, p) for p in payloads
+    ],
     context=lambda cfg: cfg,
     units=units,
     run_unit=run_unit,

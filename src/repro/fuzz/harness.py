@@ -595,7 +595,7 @@ FUZZ = CampaignKind(
     config=FuzzConfig,
     report=FuzzReport,
     digest=fuzz_campaign_digest,
-    unit_key=fuzz_unit_key,
+    unit_keys=lambda cfg, indices: [fuzz_unit_key(cfg, i) for i in indices],
     context=lambda cfg: cfg,
     units=units,
     run_unit=run_unit,

@@ -36,13 +36,15 @@ class CampaignKind:
     ``checkpoint``) and ``report`` its report type
     (``ok``, ``to_json``, ``from_json``, ``render_text``).
     ``digest(cfg)`` is its campaign identity (a journal's header, a
-    series point) and ``unit_key(cfg, payload)`` one unit's store
-    entry.  ``context(cfg)`` builds what every unit runs against (all
-    a fleet worker needs), and ``units(cfg, ctx) ->
-    (payloads, notes)`` lists the unit payloads in order and the
-    report's notes.  ``run_unit(ctx, payload)`` returns one unit's
-    encoded (JSON-safe) result: module-level so a pool can pickle it,
-    and given its context as an argument, never through a global.
+    series point) and ``unit_keys(cfg, payloads)`` its units' store
+    entries, in order: one call per campaign, so a kind can render and
+    hash what its units share once.  ``context(cfg)`` builds what
+    every unit runs against (all a fleet worker needs), and
+    ``units(cfg, ctx) -> (payloads, notes)`` lists the unit payloads
+    in order and the report's notes.  ``run_unit(ctx, payload)``
+    returns one unit's encoded (JSON-safe) result: module-level so a
+    pool can pickle it, and given its context as an argument, never
+    through a global.
     ``decode`` (None: as is) turns that back into a result, and
     ``counters(result)`` gives its telemetry counters.  ``fold(cfg,
     ctx, results, telemetry=, notes=, stats=, partial=)`` shrinks,
@@ -57,7 +59,7 @@ class CampaignKind:
     config: type
     report: type
     digest: Callable[[Any], str]
-    unit_key: Callable[[Any, Any], str]
+    unit_keys: Callable[[Any, List[Any]], List[str]]
     context: Callable[[Any], Any]
     units: Callable[[Any, Any], Tuple[List[Any], List[str]]]
     run_unit: Callable[[Any, Any], object]
@@ -166,10 +168,13 @@ def run_kind(
     )
     # with a store the scheduler keeps no journal, so every unit is
     # keyed: an interrupted run resumes from its store hits
-    keyed = store is not None
+    keys = (
+        kind.unit_keys(cfg, payloads) if store is not None
+        else [""] * len(payloads)
+    )
     units = [
-        WorkUnit(i, payload, kind.unit_key(cfg, payload) if keyed else "")
-        for i, payload in enumerate(payloads)
+        WorkUnit(i, payload, key)
+        for i, (payload, key) in enumerate(zip(payloads, keys))
     ]
 
     def fold(results: List[Any], notes: List[str], partial: bool):

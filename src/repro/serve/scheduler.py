@@ -11,11 +11,14 @@ payload + optional store key) and a worker task; the scheduler then
    interrupted run of the *same* campaign from the checkpoint journal
    (identity-checked via the campaign digest in the header);
 3. **shards** the remaining units across a ``multiprocessing`` pool
-   (two shards per worker in flight, one running and one queued, results
-   streamed back as shards finish), or runs them inline for ``workers == 1``;
-4. **persists** every fresh result once — a store write, or without a
-   store one appended, flushed journal line — *before* counting it
-   done, so progress is durable at unit granularity;
+   (two shards per worker in flight, one running and one queued; the
+   parent blocks until the pool reports a finished shard, and absorbs
+   it at once), or runs them inline for ``workers == 1``;
+4. **persists** every fresh result once, a batch at a time (a pooled
+   shard, a polled fleet batch, one inline unit): one store transaction
+   of puts, or without a store one journal line per unit and one flush,
+   *before* it counts any unit of the batch done, so a pooled unit is
+   durable with its shard and an inline unit alone;
 5. on SIGINT/SIGTERM (``KeyboardInterrupt``) or a tripped cancel
    event, stops submitting, **drains** the in-flight shards (workers
    ignore SIGINT — the standard graceful-pool recipe), and raises
@@ -44,9 +47,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import queue
 import signal
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -138,11 +141,15 @@ class Checkpoint:
         return self._fh
 
     def append(self, index: int, key: str, encoded: object) -> None:
-        fh = self._open()
-        fh.write(json.dumps(
+        """Buffer one finished unit's line; :meth:`flush` writes it."""
+        self._open().write(json.dumps(
             {"index": index, "key": key, "result": encoded}
         ) + "\n")
-        fh.flush()
+
+    def flush(self) -> None:
+        """Hand every appended line to the kernel."""
+        if self._fh is not None:
+            self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:
@@ -182,7 +189,7 @@ def _spread_worker() -> None:
         pass  # no affinity control on this platform: the kernel decides
 
 
-def _pool_init(task, encode, user_init, user_args) -> None:
+def _pool_init(task, encode) -> None:
     # workers must survive the terminal's Ctrl-C so the parent can
     # drain them; the parent alone decides when the campaign stops
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -193,8 +200,6 @@ def _pool_init(task, encode, user_init, user_args) -> None:
     _spread_worker()
     global _TASK, _ENCODE
     _TASK, _ENCODE = task, encode
-    if user_init is not None:
-        user_init(*user_args)
 
 
 def _run_shard(items: List[Tuple[int, object]]) -> List[Tuple[int, object]]:
@@ -244,8 +249,8 @@ class BatchScheduler:
         self.events = events
         #: :class:`repro.fleet.leases.FleetHandle` — when set, pending
         #: units are executed by remote workers pulling shard leases
-        #: instead of a local pool; ``task``/``initializer`` then run
-        #: in the workers' processes, rebuilt from the job's config
+        #: instead of a local pool; ``task`` then runs in the workers'
+        #: processes, rebuilt from the job's config
         self.fleet = fleet
         #: filled after every run(): how each unit was satisfied
         self.last_run_stats: Dict[str, int] = {}
@@ -286,19 +291,17 @@ class BatchScheduler:
         self,
         units: Sequence[WorkUnit],
         task: Callable,
-        initializer: Optional[Callable] = None,
-        initargs: Tuple = (),
         encode: Optional[Callable] = None,
         decode: Optional[Callable] = None,
         counters: Optional[Callable] = None,
     ) -> List[object]:
         """Execute every unit; results in ``units`` order.
 
-        ``task(payload) -> result`` runs in the workers (it, ``encode``
-        and ``initializer`` must be module-level picklables for
-        ``workers > 1``); ``encode(result)`` makes it JSON-safe,
-        ``decode(encoded)`` inverts that in the parent, ``counters``
-        maps a decoded result to its telemetry counter dict.
+        ``task(payload) -> result`` runs in the workers (it and
+        ``encode`` must be module-level picklables for ``workers > 1``);
+        ``encode(result)`` makes it JSON-safe, ``decode(encoded)``
+        inverts that in the parent, ``counters`` maps a decoded result
+        to its telemetry counter dict.
         """
         total = len(units)
         if self.telemetry is not None:
@@ -338,18 +341,29 @@ class BatchScheduler:
         pending = [
             (u.index, u.payload) for u in units if u.index not in results
         ]
+        meta = {"campaign": self.campaign}
 
-        def absorb(index: int, encoded: object) -> None:
-            if index in results:
-                return  # absorbed already, before an interrupt cut in
-            key = keys.get(index, "")
-            if self.store is not None and key:
-                self.store.put(key, encoded, meta={"campaign": self.campaign})
-            if ckpt is not None:
-                ckpt.append(index, key, encoded)
-            results[index] = decode_(encoded)
-            self._note("executed")
-            self._tick(results[index], counters)
+        def absorb(batch: Sequence[Tuple[int, object]]) -> None:
+            """Persist a batch of fresh results, then record and count it.
+
+            Units absorbed already, before an interrupt cut in, are
+            skipped; an interrupt before the batch is recorded leaves
+            it to be absorbed again, which finds its puts stored.
+            """
+            fresh = [(i, enc) for i, enc in batch if i not in results]
+            if self.store is not None:
+                with self.store.batch():
+                    for index, encoded in fresh:
+                        if keys[index]:
+                            self.store.put(keys[index], encoded, meta=meta)
+            elif ckpt is not None:
+                for index, encoded in fresh:
+                    ckpt.append(index, keys[index], encoded)
+                ckpt.flush()
+            for index, encoded in fresh:
+                results[index] = decode_(encoded)
+                self._note("executed")
+                self._tick(results[index], counters)
 
         interrupted = None
         try:
@@ -358,11 +372,11 @@ class BatchScheduler:
                     interrupted = self._run_fleet(pending, keys, absorb)
                 elif self.workers == 1:
                     interrupted = self._run_inline(
-                        pending, task, initializer, initargs, encode, absorb
+                        pending, task, encode, absorb
                     )
                 else:
                     interrupted = self._run_pool(
-                        pending, task, initializer, initargs, encode, absorb
+                        pending, task, encode, absorb
                     )
         finally:
             if ckpt is not None:
@@ -432,11 +446,7 @@ class BatchScheduler:
     def _cancelled(self) -> bool:
         return self.cancel is not None and self.cancel.is_set()
 
-    def _run_inline(
-        self, pending, task, initializer, initargs, encode, absorb
-    ) -> Optional[str]:
-        if initializer is not None:
-            initializer(*initargs)
+    def _run_inline(self, pending, task, encode, absorb) -> Optional[str]:
         self._event("shard", shard=0, units=len(pending), of=1)
         for index, payload in pending:
             if self._cancelled():
@@ -445,16 +455,16 @@ class BatchScheduler:
                 result = task(payload)
             except KeyboardInterrupt:
                 return "signal"
-            encoded = encode(result) if encode else result
+            batch = [(index, encode(result) if encode else result)]
             try:
-                absorb(index, encoded)
+                absorb(batch)
             except KeyboardInterrupt:
                 # The signal landed mid-absorb.  The result is already
                 # computed and a store put is atomic and idempotent (a
                 # torn journal line is skipped on load), so finish
                 # persisting it rather than dropping a unit of work; a
                 # unit already counted is not counted again.
-                absorb(index, encoded)
+                absorb(batch)
                 return "signal"
         return None
 
@@ -463,12 +473,13 @@ class BatchScheduler:
 
         The handle streams back (index, encoded-result) pairs as
         workers complete them; this thread stays the only absorber, so
-        store/journal/results bookkeeping needs no extra locking.
-        Expired leases are reaped here too (``sweep``), which is what
-        requeues a dead worker's shard.  Cross-lease duplicates (a
-        shard re-executed after its first worker was presumed dead,
-        both completing) are dropped at absorb time — exactly-once in
-        the results, however many times a unit ran.
+        store/journal/results bookkeeping needs no extra locking, and
+        it absorbs each poll's results as one batch.  Expired leases
+        are reaped here too (``sweep``), which is what requeues a dead
+        worker's shard.  Cross-lease duplicates (a shard re-executed
+        after its first worker was presumed dead, both completing) are
+        dropped before the batch is absorbed — exactly-once in the
+        results, however many times a unit ran.
         """
         handle = self.fleet
         # the board hands emit() a payload dict; _event takes kwargs
@@ -481,12 +492,14 @@ class BatchScheduler:
         try:
             while remaining and interrupted is None:
                 try:
+                    batch: Dict[int, object] = {}
                     for index, encoded in handle.poll(timeout_s=self.poll_s):
-                        if index not in remaining:
+                        if index in remaining and index not in batch:
+                            batch[index] = encoded
+                        else:
                             self._note("lease.duplicate_results")
-                            continue
-                        absorb(index, encoded)
-                        remaining.discard(index)
+                    absorb(list(batch.items()))
+                    remaining.difference_update(batch)
                     handle.sweep()
                     if self._cancelled():
                         interrupted = "cancelled"
@@ -497,9 +510,7 @@ class BatchScheduler:
                 self._note(name, n)
         return interrupted
 
-    def _run_pool(
-        self, pending, task, initializer, initargs, encode, absorb
-    ) -> Optional[str]:
+    def _run_pool(self, pending, task, encode, absorb) -> Optional[str]:
         shard_size = self.shard_size or max(
             1, min(16, len(pending) // (self.workers * 4) or 1)
         )
@@ -508,10 +519,25 @@ class BatchScheduler:
             for i in range(0, len(pending), shard_size)
         ]
         interrupted: Optional[str] = None
+        # The pool's result thread runs a shard's callback (or error
+        # callback), which lists the shard as finished and wakes this
+        # thread; the shard leaves the list only once absorbed whole,
+        # so an interrupt mid-absorb leaves it to the drain.  Nothing
+        # scans ready(): ApplyResult runs the callback before it marks
+        # itself ready.  ``poll_s`` only bounds how late a cancel is seen.
+        finished: List[int] = []
+        wake: "queue.SimpleQueue[int]" = queue.SimpleQueue()
+
+        def on_finish(n: int) -> Callable[[object], None]:
+            def callback(_outcome: object) -> None:
+                finished.append(n)
+                wake.put(n)
+            return callback
+
         with multiprocessing.Pool(
             processes=self.workers,
             initializer=_pool_init,
-            initargs=(task, encode, initializer, initargs),
+            initargs=(task, encode),
         ) as pool:
             inflight: Dict[int, object] = {}
             next_shard = 0
@@ -522,8 +548,10 @@ class BatchScheduler:
                         and next_shard < len(shards)
                         and len(inflight) < 2 * self.workers
                     ):
+                        callback = on_finish(next_shard)
                         inflight[next_shard] = pool.apply_async(
-                            _run_shard, (shards[next_shard],)
+                            _run_shard, (shards[next_shard],),
+                            callback=callback, error_callback=callback,
                         )
                         self._event(
                             "shard",
@@ -532,19 +560,19 @@ class BatchScheduler:
                             of=len(shards),
                         )
                         next_shard += 1
-                    done = [
-                        n for n, ar in inflight.items() if ar.ready()
-                    ]
-                    for n in done:
-                        # popped only once absorbed whole: after an
-                        # interrupt mid-shard, the drain absorbs the rest
-                        for index, encoded in inflight[n].get():
-                            absorb(index, encoded)
-                        del inflight[n]
+                    if not finished:
+                        try:
+                            wake.get(timeout=self.poll_s)
+                        except queue.Empty:
+                            pass
+                    while finished:
+                        shard = inflight.get(finished[0])
+                        if shard is not None:  # None: absorbed already
+                            absorb(shard.get())
+                            del inflight[finished[0]]
+                        finished.pop(0)
                     if interrupted is None and self._cancelled():
                         interrupted = "cancelled"
-                    if not done:
-                        time.sleep(self.poll_s)
                 except KeyboardInterrupt:
                     if interrupted is not None:
                         # second interrupt: give up on draining

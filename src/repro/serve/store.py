@@ -31,14 +31,15 @@ Every entry is one row of a single WAL-mode SQLite file,
 can share that file read-write: writers queue on the database lock
 (``busy_timeout``) instead of corrupting each other, and a put is one
 ``INSERT OR IGNORE``, so same-key races are idempotent and exactly
-one writer counts the write.  WAL needs shared memory between its
-processes, so the root must live on a local filesystem, not a network
-mount.  A commit (``synchronous=NORMAL``) survives the death of the
-writing process, not an OS crash.  Anything unreadable on the way back
-(a truncated or unparseable document, a digest mismatch) is
-*quarantined*: the entry is deleted, counted in ``corrupt``, and
-reported as a miss, so the caller simply re-simulates and the rewrite
-heals the store.
+one writer counts the write.  A put commits at once, or with the rest
+of its :meth:`ResultStore.batch` when it has one.  WAL needs shared
+memory between its processes, so the root must live on a local
+filesystem, not a network mount.  A commit (``synchronous=NORMAL``)
+survives the death of the writing process, not an OS crash.  Anything
+unreadable on the way back (a truncated or unparseable document, a
+digest mismatch) is *quarantined*: the entry is deleted, counted in
+``corrupt``, and reported as a miss, so the caller simply re-simulates
+and the rewrite heals the store.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import (
+    ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro import fastpath
 from repro.ir.lint import LINT_VERSION
@@ -59,11 +63,15 @@ from repro.ir.semantics import SEMANTICS_VERSION
 STORE_VERSION = 1
 
 
+# one encoder for every digest: json.dumps would build one per call
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
 def canonical_json(obj: object) -> str:
     """The unique JSON rendering digests are computed over."""
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return _CANONICAL.encode(obj)
 
 
 def digest_of(obj: object) -> str:
@@ -111,6 +119,13 @@ def program_digest(
 fastpath.register_cache_clearer(_program_digests.clear)
 
 
+def _key_doc(kind: str, fields: Dict[str, object]) -> Dict[str, object]:
+    doc: Dict[str, object] = {"kind": kind, "fastpath": fastpath.enabled()}
+    doc.update(_versions())
+    doc.update(fields)
+    return doc
+
+
 def unit_key(kind: str, **fields: object) -> str:
     """The store key of one work unit.
 
@@ -119,10 +134,36 @@ def unit_key(kind: str, **fields: object) -> str:
     configuration.  The fastpath flag and all keying versions are
     folded in automatically.
     """
-    doc: Dict[str, object] = {"kind": kind, "fastpath": fastpath.enabled()}
-    doc.update(_versions())
-    doc.update(fields)
-    return digest_of(doc)
+    return digest_of(_key_doc(kind, fields))
+
+
+def unit_keys(
+    kind: str, vary: str, values: Sequence[object], **fields: object
+) -> List[str]:
+    """``unit_key(kind, **fields, <vary>=value)`` for each of ``values``.
+
+    The units of one campaign differ in one field (a check unit's
+    schedule), so the document around it is rendered and hashed once
+    and each key hashes on from there with its value.  A ``sort_keys``
+    rendering is ``{`` + the ``"key":value`` pairs in key order, joined
+    by ``,`` + ``}``, so the pairs before ``vary`` and after it render
+    exactly as they do in the whole document.
+    """
+    doc = _key_doc(kind, fields)
+    head = canonical_json({k: v for k, v in doc.items() if k < vary})
+    tail = canonical_json({k: v for k, v in doc.items() if k > vary})
+    prefix = (
+        head[:-1] + ("," if head != "{}" else "")
+        + canonical_json(vary) + ":"
+    )
+    suffix = "," + tail[1:] if tail != "{}" else "}"
+    shared = hashlib.sha256(prefix.encode("utf-8"))
+    keys: List[str] = []
+    for value in values:
+        h = shared.copy()
+        h.update((canonical_json(value) + suffix).encode("utf-8"))
+        keys.append(h.hexdigest())
+    return keys
 
 
 def campaign_digest(kind: str, **fields: object) -> str:
@@ -144,7 +185,9 @@ class SQLiteBackend:
     meaning.  One connection per instance, opened on first use and
     shared by every thread under ``_lock`` (a daemon's request and job
     threads use one store); other processes open their own and
-    serialize on the database lock.
+    serialize on the database lock.  A :meth:`batch` holds ``_lock``
+    from its first write to its commit, so no other thread's call
+    joins, commits or outlives its transaction.
     """
 
     name = "sqlite"
@@ -155,8 +198,11 @@ class SQLiteBackend:
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
         self.path = os.path.join(self.root, "store.sqlite3")
-        self._lock = threading.Lock()
+        # reentrant: a batch's writes take it again inside the batch
+        self._lock = threading.RLock()
         self._db: Optional[sqlite3.Connection] = None
+        #: inside a batch: writes leave the commit to the batch's end
+        self._batching = False
 
     def _conn(self) -> sqlite3.Connection:
         """The open connection; the caller holds ``_lock``."""
@@ -200,8 +246,31 @@ class SQLiteBackend:
                 "VALUES (?, ?, ?, ?)",
                 (key, time.time(), len(document.encode("utf-8")), document),
             )
-            conn.commit()
+            if not self._batching:
+                conn.commit()
         return cur.rowcount > 0
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Writes inside the block commit once, when it exits.
+
+        The commit runs however the block ends, an interrupt included:
+        every row written is a whole entry, so committing them is safe,
+        and the writes they counted stay true.  A failed commit is
+        rolled back, so no transaction outlives the block.
+        """
+        with self._lock:
+            self._batching = True
+            try:
+                yield
+            finally:
+                self._batching = False
+                if self._db is not None:
+                    try:
+                        self._db.commit()
+                    except sqlite3.Error:
+                        self._db.rollback()
+                        raise
 
     def exists(self, key: str) -> bool:
         with self._lock:
@@ -319,6 +388,13 @@ class ResultStore:
             return False
         self.writes += 1
         return True
+
+    def batch(self) -> ContextManager[None]:
+        """A context whose :meth:`put` calls share one commit, at its end.
+
+        Other threads using this handle wait until the batch commits.
+        """
+        return self.backend.batch()
 
     def __contains__(self, key: str) -> bool:
         return self.backend.exists(key)

@@ -177,6 +177,66 @@ class TestSQLiteSpecifics:
         store.close()
         assert store.backend._db is None
 
+    def test_a_batch_holds_the_connection_until_it_commits(self, tmp_path):
+        # batching and single-put threads share one handle: a batch's
+        # rows commit once, at its end, never inside another thread's
+        # put, and its no-commit mode never leaks into other threads
+        store = ResultStore(str(tmp_path / "store"))
+        conn = store.backend._conn()
+        statements = []
+        conn.set_trace_callback(statements.append)
+        errors = []
+
+        def batched(worker):
+            try:
+                for b in range(20):
+                    with store.batch():
+                        for i in range(10):
+                            store.put(
+                                unit_key("batched", w=worker, b=b, i=i), {}
+                            )
+                            assert conn.in_transaction
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def single(worker):
+            try:
+                for i in range(200):
+                    store.put(unit_key("single", w=worker, i=i), {})
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=fn, args=(w,))
+                for w in range(4) for fn in (batched, single)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert store.writes == 8 * 200
+        assert statements.count("COMMIT") == 4 * 20 + 4 * 200
+        assert not conn.in_transaction
+        store.close()
+
+    def test_an_interrupted_batch_still_commits(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        conn = store.backend._conn()
+        with pytest.raises(KeyboardInterrupt):
+            with store.batch():
+                store.put(unit_key("test", n=1), {"n": 1})
+                raise KeyboardInterrupt
+        assert not conn.in_transaction
+        store.close()
+        assert ResultStore(store.root).get(unit_key("test", n=1)) == {"n": 1}
+
     def test_compact_reclaims_bytes_after_eviction(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         for i in range(200):

@@ -68,9 +68,7 @@ def test_wire_config_keeps_digest_and_unit_keys(name):
     assert kind.digest(decoded) == kind.digest(cfg)
     payloads = kind.units(cfg, kind.context(cfg))[0]
     assert payloads
-    assert [kind.unit_key(decoded, p) for p in payloads] == [
-        kind.unit_key(cfg, p) for p in payloads
-    ]
+    assert kind.unit_keys(decoded, payloads) == kind.unit_keys(cfg, payloads)
 
 
 @pytest.mark.parametrize("name", KINDS)

@@ -3,6 +3,7 @@
 import json
 import signal
 import threading
+import time
 
 import pytest
 
@@ -95,6 +96,16 @@ class TestPoolFeed:
         assert log[:log.index("absorb")].count("shard") == 4
         assert log.count("shard") == 12
 
+    def test_a_finished_shard_wakes_the_parent(self):
+        # the parent blocks until the pool reports a shard; poll_s only
+        # bounds how late it sees a cancel, so a long one costs nothing
+        start = time.monotonic()
+        out = BatchScheduler(workers=2, poll_s=5.0).run(
+            units_for(12), task=square, encode=encode_result
+        )
+        assert out == [{"value": i * i} for i in range(12)]
+        assert time.monotonic() - start < 2.5
+
     def test_interrupt_mid_shard_absorbs_the_whole_shard(self):
         # a signal that lands while the parent absorbs a finished shard
         # must not drop that shard's other, already computed units
@@ -126,6 +137,16 @@ class TestStoreShortCircuit:
         # explode never ran: every unit came from the store
         assert warm.last_run_stats == {"store_hits": 6}
         assert second == first
+
+    def test_a_pooled_shard_commits_once(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        statements = []
+        store.backend._conn().set_trace_callback(statements.append)
+        BatchScheduler(workers=2, store=store, shard_size=4).run(
+            units_for(12), task=square, encode=encode_result
+        )
+        assert store.writes == 12
+        assert statements.count("COMMIT") == 3
 
     def test_keyless_units_bypass_the_store(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))

@@ -15,6 +15,7 @@ from repro.serve.store import (
     digest_of,
     program_digest,
     unit_key,
+    unit_keys,
 )
 from tests.conftest import on_sim_path
 
@@ -31,6 +32,16 @@ class TestCanonicalDigests:
         assert base == unit_key("check-unit", schedule=[1, 2], program="p")
         assert base != unit_key("check-unit", program="p", schedule=[1, 3])
         assert base != unit_key("fuzz-unit", program="p", schedule=[1, 2])
+
+    @pytest.mark.parametrize("vary", ["a", "fastpath", "m", "program", "z"])
+    def test_unit_keys_equal_unit_key_wherever_the_field_sorts(self, vary):
+        fields = {"m": {"y": [1.5, None], "x": "\u00e9"}, "program": "p"}
+        fields.pop(vary, None)
+        values = [[1, 2], (3.25,), {"b": 1, "a": 2}, "s", None, []]
+        assert unit_keys("check-unit", vary, values, **fields) == [
+            unit_key("check-unit", **fields, **{vary: v}) for v in values
+        ]
+        assert unit_keys("check-unit", vary, []) == []
 
     def test_campaign_digest_never_collides_with_unit_key(self):
         fields = dict(program="p", runs=4)
