@@ -78,15 +78,15 @@ import argparse
 import sys
 
 from repro.apps import APPS
-from repro.core.run import nv_state, resolve_result_vars, run_program
+from repro.core.run import RUNTIMES, nv_state, resolve_result_vars, run_program
+from repro.errors import ReproError
 from repro.kernel.power import NoFailures, UniformFailureModel
 
 
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="execute one evaluation application")
     p.add_argument("app", choices=sorted(APPS))
-    p.add_argument("--runtime", default="easeio",
-                   choices=["alpaca", "ink", "samoyed", "easeio"])
+    p.add_argument("--runtime", default="easeio", choices=sorted(RUNTIMES))
     p.add_argument("--continuous", action="store_true",
                    help="no power failures")
     p.add_argument("--low-ms", type=float, default=5.0,
@@ -167,8 +167,7 @@ def _add_check_parser(sub) -> None:
         "check", help="fault-injection correctness checking"
     )
     p.add_argument("app", choices=sorted(APPS))
-    p.add_argument("--runtime", default="easeio",
-                   choices=["alpaca", "ink", "samoyed", "easeio"])
+    p.add_argument("--runtime", default="easeio", choices=sorted(RUNTIMES))
     p.add_argument("--mode", default="exhaustive",
                    choices=["exhaustive", "random"],
                    help="one run per step boundary, or seeded "
@@ -262,8 +261,7 @@ def _add_fuzz_parser(sub) -> None:
                    help="parallel fuzzing processes (default 1)")
     p.add_argument("--corpus", default=None, metavar="DIR",
                    help="persist shrunk reproducers to this directory")
-    p.add_argument("--runtimes", default=",".join(
-                       ("easeio", "alpaca", "ink", "samoyed")),
+    p.add_argument("--runtimes", default=None,
                    help="comma-separated runtimes to check (default all)")
     p.add_argument("--limit", type=int, default=24,
                    help="exhaustive-boundary cap per campaign (default 24)")
@@ -288,6 +286,7 @@ def _add_fuzz_parser(sub) -> None:
 
 
 def _cmd_fuzz(args) -> int:
+    from repro.fuzz.harness import DEFAULT_RUNTIMES
     from repro.serve.kinds import campaign_kind, run_cli
 
     kind = campaign_kind("fuzz")
@@ -298,7 +297,7 @@ def _cmd_fuzz(args) -> int:
         corpus_dir=args.corpus,
         runtimes=tuple(
             rt.strip() for rt in args.runtimes.split(",") if rt.strip()
-        ),
+        ) if args.runtimes is not None else DEFAULT_RUNTIMES,
         limit=args.limit,
         env_seed=args.env_seed,
         envs=tuple(
@@ -384,6 +383,16 @@ def main(argv=None) -> int:
     p_fleet.add_argument("rest", nargs=argparse.REMAINDER)
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(parser, args)
+    except ReproError as exc:
+        # an input error (bad spec, unknown name): exit 2, like a usage
+        # error, so it is never mistaken for a failing report (exit 1)
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(parser, args) -> int:
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "check":

@@ -32,6 +32,7 @@ from repro import fastpath
 from repro.check import inject
 from repro.env.spec import describe_env
 from repro.core.compile import compile_app, _options_key
+from repro.core.run import runtime_class
 from repro.check.diff import DEFAULT_ATOMICITY_WINDOW_US, diff_run
 from repro.check.model import RunVerdict, Schedule, Violation
 from repro.check.oracle import Oracle, build_oracle
@@ -194,11 +195,13 @@ def _campaign_identity(cfg: CampaignConfig) -> Dict[str, object]:
 
     ``workers``, ``shrink`` and ``progress`` are deliberately absent: a
     checkpoint written with 8 workers must resume under 1, and the
-    shrink pass runs after (and independently of) the fan-out.
+    shrink pass runs after (and independently of) the fan-out.  The
+    app and runtime names resolve through their registries, so an
+    unknown one fails here, when a job is submitted.
     """
     return {
         "program": program_digest(cfg.app, cfg.build_kwargs),
-        "runtime": cfg.runtime,
+        "runtime": runtime_class(cfg.runtime).name,
         "mode": cfg.mode,
         "env_seed": cfg.env_seed,
         "seed": cfg.seed,

@@ -16,14 +16,17 @@ This module compiles **once per key** and shares the artifact:
 ``compile_app(app, runtime, ...)``
     a :class:`CompiledProgram` bundling the program with the
     :class:`~repro.ir.transform.TransformResult` when ``runtime`` is
-    EaseIO;
+    EaseIO (:func:`compile_program` builds one, uncached, for any
+    program);
 
 ``instantiate(compiled, machine)``
     a fresh runtime instance on ``machine`` from the shared artifact —
-    the explicit **copy-on-instantiate boundary**.  Compiled artifacts
-    are immutable after construction (``Program`` is frozen; the
-    interpreter keeps all mutable state in the machine/environment), so
-    one artifact may back any number of sequential or concurrent runs.
+    the explicit **copy-on-instantiate boundary**, and on the VM path
+    the one place bytecode is compiled and attached.  Compiled
+    artifacts are immutable after construction (``Program`` is frozen;
+    the interpreter keeps all mutable state in the machine/environment),
+    so one artifact may back any number of sequential or concurrent
+    runs.
 
 Safety: the cache is only consulted on the VM path
 (:mod:`repro.fastpath`); the reference path (or :func:`clear_cache`)
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro import fastpath
-from repro.apps import APPS
+from repro.apps import APPS, AppSpec
 from repro.errors import ReproError
 from repro.hw.mcu import Machine, build_machine
 from repro.ir import ast as A
@@ -97,6 +100,14 @@ _vm_hits = 0
 _vm_misses = 0
 
 
+def app_spec(app: str) -> AppSpec:
+    """The app registered as ``app``; a ``ReproError`` lists the choices."""
+    spec = APPS.get(app)
+    if spec is None:
+        raise ReproError(f"unknown app {app!r}; choose from {sorted(APPS)}")
+    return spec
+
+
 def build_app_program(
     app: str, build_kwargs: Optional[Dict[str, object]] = None
 ) -> A.Program:
@@ -109,17 +120,16 @@ def build_app_program(
     byte-identical in behaviour.
     """
     global _hits, _misses
-    if app not in APPS:
-        raise ReproError(f"unknown app {app!r}; choose from {sorted(APPS)}")
+    spec = app_spec(app)
     if not fastpath.enabled():
-        program = APPS[app].build(**dict(build_kwargs or {}))
+        program = spec.build(**dict(build_kwargs or {}))
         program.validate()
         return program
     key = program_key(app, build_kwargs)
     program = _programs.get(key)
     if program is None:
         _misses += 1
-        program = APPS[app].build(**dict(build_kwargs or {}))
+        program = spec.build(**dict(build_kwargs or {}))
         program.validate()
         _programs[key] = program
     else:
@@ -136,38 +146,49 @@ def compile_app(
     """Compile (or fetch) the runtime-ready artifact for one cell."""
     global _hits, _misses
     if not fastpath.enabled():
-        return _compile_cold(app, runtime, build_kwargs, transform_options)
+        return compile_program(
+            build_app_program(app, build_kwargs), runtime,
+            transform_options, app=app,
+        )
     key = (program_key(app, build_kwargs), runtime, _options_key(transform_options))
     artifact = _compiled.get(key)
     if artifact is None:
         _misses += 1
-        artifact = _compile_cold(app, runtime, build_kwargs, transform_options)
+        artifact = compile_program(
+            build_app_program(app, build_kwargs), runtime,
+            transform_options, app=app,
+        )
         _compiled[key] = artifact
     else:
         _hits += 1
     return artifact
 
 
-def _compile_cold(
-    app: str,
+def compile_program(
+    program: A.Program,
     runtime: str,
-    build_kwargs: Optional[Dict[str, object]],
-    transform_options: Optional[TransformOptions],
+    transform_options: Optional[TransformOptions] = None,
+    app: Optional[str] = None,
 ) -> CompiledProgram:
-    program = build_app_program(app, build_kwargs)
+    """The runtime-ready artifact for one built program (uncached)."""
     transformed = None
     if runtime == "easeio":
         transformed = transform_program(program, transform_options)
     return CompiledProgram(
-        app=app, runtime=runtime, program=program, transformed=transformed
+        app=app or program.name, runtime=runtime, program=program,
+        transformed=transformed,
     )
 
 
 def instantiate(compiled: CompiledProgram, machine: Machine):
-    """A fresh runtime instance on ``machine`` from a shared artifact."""
-    from repro.core.run import RUNTIMES  # local import: avoids a cycle
+    """A fresh runtime instance on ``machine`` from a shared artifact.
 
-    cls = RUNTIMES[compiled.runtime]
+    On the VM path the instance carries its bytecode as ``rt._vm``, or
+    this raises.
+    """
+    from repro.core.run import runtime_class  # local import: avoids a cycle
+
+    cls = runtime_class(compiled.runtime)
     if compiled.transformed is not None:
         rt = cls.instantiate(compiled.transformed, machine)
     else:
@@ -178,18 +199,20 @@ def instantiate(compiled: CompiledProgram, machine: Machine):
 
 
 def _attach_vm(rt) -> None:
-    """Compile the runtime's program to bytecode and attach the VM.
+    """Compile the runtime's program and attach the bytecode as ``rt._vm``.
 
-    Bytecode closes over one runtime instance's typed cells, so the
-    artifact is inherently per-instance: a fresh instance compiles
-    (a vm miss), a pooled instance recycled through :func:`runtime_for`
-    keeps its VM across resets (a vm hit) because
-    :meth:`~repro.hw.mcu.Machine.reset` preserves every object identity
-    the bytecode bound.  ``lower`` returning ``None`` (unlowerable
-    program) leaves the generator path in charge for this instance.
+    :func:`instantiate` is the only caller.  Bytecode closes over one
+    runtime instance's typed cells, so it is inherently per-instance:
+    a fresh instance compiles (a vm miss), a pooled instance recycled
+    through :func:`runtime_for` keeps its bytecode across resets (a vm
+    hit) because :meth:`~repro.hw.mcu.Machine.reset` preserves every
+    object identity the bytecode bound.  A program the lowerer cannot
+    compile raises here; nothing falls back to the interpreter.
     """
     global _vm_misses
-    from repro.vm import lower as _lower_vm  # local import: avoids a cycle
+    # local import: avoids a cycle, and looks ``lower`` up on the
+    # package at call time, so a wrapper installed there is seen
+    from repro.vm import lower as _lower_vm
 
     _vm_misses += 1
     rt._vm = _lower_vm(rt)
@@ -227,9 +250,8 @@ def runtime_for(compiled: CompiledProgram, seed: int, trace_events: bool):
         _runtimes[key] = rt
     else:
         rt.reset()
-        if getattr(rt, "_vm", None) is not None:
-            _vm_hits += 1
-            rt._vm_cached = True  # recycled bytecode, no recompile
+        _vm_hits += 1
+        rt._vm_cached = True  # recycled bytecode, no recompile
     return rt
 
 

@@ -36,6 +36,20 @@ RUNTIMES: Dict[str, Type[TaskRuntime]] = {
 }
 
 
+def runtime_class(name: str) -> Type[TaskRuntime]:
+    """The runtime registered as ``name``; a ``ReproError`` lists the choices.
+
+    The one check of a runtime name: :func:`~repro.core.compile.instantiate`
+    and every campaign digest resolve names through it.
+    """
+    cls = RUNTIMES.get(name)
+    if cls is None:
+        raise ReproError(
+            f"unknown runtime {name!r}; choose from {sorted(RUNTIMES)}"
+        )
+    return cls
+
+
 def build_runtime(
     program: A.Program,
     runtime: str,
@@ -45,22 +59,18 @@ def build_runtime(
     transform_options: Optional[TransformOptions] = None,
     trace_events: bool = True,
 ) -> TaskRuntime:
-    """Instantiate a named runtime with a (fresh) machine."""
-    if runtime not in RUNTIMES:
-        raise ReproError(
-            f"unknown runtime {runtime!r}; choose from {sorted(RUNTIMES)}"
-        )
+    """Instantiate a named runtime with a (fresh) machine.
+
+    Compiles ``program`` for ``runtime`` (uncached) and instantiates it
+    like any cached artifact: on the VM path the runtime carries its
+    bytecode, or this raises.
+    """
+    from repro.core.compile import compile_program, instantiate
+
+    compiled = compile_program(program, runtime, transform_options)
     if machine is None:
         machine = build_machine(seed=seed, cost=cost, trace_events=trace_events)
-    if runtime == "easeio":
-        rt = EaseIORuntime.from_source(program, machine, transform_options)
-    else:
-        rt = RUNTIMES[runtime](program, machine)
-    if fastpath.enabled():
-        from repro.core.compile import _attach_vm
-
-        _attach_vm(rt)
-    return rt
+    return instantiate(compiled, machine)
 
 
 def run_program(

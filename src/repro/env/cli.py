@@ -34,12 +34,11 @@ import argparse
 import sys
 
 from repro.apps import APPS
+from repro.core.run import RUNTIMES
 from repro.env.spec import parse_env
 from repro.env.sweep import run_under
 from repro.env.trace import load_trace, read_trace, write_trace
 from repro.errors import ReproError
-
-_RUNTIMES = ("alpaca", "ink", "samoyed", "easeio")
 
 
 def _cmd_record(args) -> int:
@@ -126,14 +125,6 @@ def _cmd_sweep(args) -> int:
         store_dir=args.store,
         checkpoint=args.checkpoint,
     )
-    for app in cfg.apps:
-        if app not in APPS:
-            raise ReproError(f"unknown app {app!r}; choose from {sorted(APPS)}")
-    for runtime in cfg.runtimes:
-        if runtime not in _RUNTIMES:
-            raise ReproError(
-                f"unknown runtime {runtime!r}; choose from {sorted(_RUNTIMES)}"
-            )
     return run_cli(kind, cfg, as_json=args.json)
 
 
@@ -146,7 +137,7 @@ def main(argv=None) -> int:
 
     p_rec = sub.add_parser("record", help="run once, export the power trace")
     p_rec.add_argument("app", choices=sorted(APPS))
-    p_rec.add_argument("--runtime", default="easeio", choices=_RUNTIMES)
+    p_rec.add_argument("--runtime", default="easeio", choices=sorted(RUNTIMES))
     p_rec.add_argument("--env", required=True,
                        help="environment spec (kind:key=val,...)")
     p_rec.add_argument("--out", required=True, metavar="FILE",
@@ -161,7 +152,7 @@ def main(argv=None) -> int:
     p_rep.add_argument("trace", help="recorded trace file")
     p_rep.add_argument("--app", default=None, choices=sorted(APPS),
                        help="override the app recorded in the trace meta")
-    p_rep.add_argument("--runtime", default=None, choices=_RUNTIMES,
+    p_rep.add_argument("--runtime", default=None, choices=sorted(RUNTIMES),
                        help="override the runtime recorded in the trace meta")
     p_rep.add_argument("--env-seed", type=int, default=None)
     p_rep.add_argument("--limit", type=int, default=None)
@@ -194,12 +185,16 @@ def main(argv=None) -> int:
     p_sw.add_argument("--json", action="store_true")
 
     args = parser.parse_args(argv)
-    if args.command == "record":
-        return _cmd_record(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
+    try:
+        if args.command == "record":
+            return _cmd_record(args)
+        if args.command == "replay":
+            return _cmd_replay(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+    except ReproError as exc:
+        print(f"env: error: {exc}", file=sys.stderr)
+        return 2
     parser.error(f"unknown command {args.command!r}")
     return 2
 

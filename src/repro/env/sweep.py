@@ -27,7 +27,8 @@ import threading
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.run import run_app
+from repro.core.compile import app_spec
+from repro.core.run import run_app, runtime_class
 from repro.env.environment import EnergyEnvironment
 from repro.env.sources import TraceSource
 from repro.env.spec import describe_env, parse_env, random_env_spec
@@ -111,12 +112,16 @@ def sweep_unit_key(cfg: SweepConfig, payload: Tuple[str, str, str]) -> str:
 
 
 def sweep_campaign_digest(cfg: SweepConfig) -> str:
-    """Checkpoint identity of one sweep (content-based, like its keys)."""
+    """Checkpoint identity of one sweep (content-based, like its keys).
+
+    App and runtime names resolve through their registries: an unknown
+    one fails here, when a job is submitted.
+    """
     return campaign_digest(
         "env-sweep",
         envs=[describe_env(spec) for spec in sweep_envs(cfg)],
-        apps=list(cfg.apps),
-        runtimes=list(cfg.runtimes),
+        apps=[app_spec(app).name for app in cfg.apps],
+        runtimes=[runtime_class(rt).name for rt in cfg.runtimes],
         env_seed=cfg.env_seed,
         nontermination_limit=cfg.nontermination_limit,
         verify_replay=cfg.verify_replay,

@@ -39,6 +39,7 @@ from repro import fastpath
 from repro.check import CampaignConfig, run_campaign
 from repro.check.model import VIOLATION_KINDS
 from repro.core.compile import evict
+from repro.core.run import runtime_class
 from repro.env.spec import describe_env, random_env_spec
 from repro.fuzz.gen import generate_valid_spec
 from repro.fuzz.shrink import shrink_spec
@@ -311,12 +312,16 @@ def describe_config(cfg: FuzzConfig) -> Dict[str, object]:
 
 
 def fuzz_campaign_digest(cfg: FuzzConfig) -> str:
-    """Checkpoint identity of one fuzz run (fan-out-relevant knobs)."""
+    """Checkpoint identity of one fuzz run (fan-out-relevant knobs).
+
+    Runtime names resolve through the registry: an unknown one fails
+    here, when a job is submitted.
+    """
     return campaign_digest(
         "fuzz",
         runs=cfg.runs,
         seed=cfg.seed,
-        runtimes=list(cfg.runtimes),
+        runtimes=[runtime_class(rt).name for rt in cfg.runtimes],
         limit=cfg.limit,
         env_seed=cfg.env_seed,
         envs=[

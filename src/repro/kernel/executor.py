@@ -6,10 +6,11 @@ yielded :class:`~repro.kernel.stats.Step` is charged against the clock
 and the energy meter *before* its effects are applied — the interpreter
 applies a step's effects only when the executor asks for the next step,
 so a power failure inside a step window makes the step vanish entirely
-(all-or-nothing, like an instruction that never retired).  Runtimes
-carrying compiled bytecode (:mod:`repro.vm`) are driven by
-:meth:`IntermittentExecutor._run_vm` instead, with the same charging
-rules.
+(all-or-nothing, like an instruction that never retired).  On the VM
+path every runtime carries its compiled bytecode (:mod:`repro.vm`),
+and :meth:`IntermittentExecutor._run_vm` steps that instruction list
+instead, with the same charging rules; a reboot there is a jump to
+the dispatch instruction at pc 0.
 
 Two failure sources can interrupt a step:
 
@@ -99,9 +100,9 @@ class IntermittentExecutor:
             if getattr(self.failure_model, "energy_coupled", False)
             else None
         )
-        vm = getattr(runtime, "_vm", None)
-        if vm is not None:
-            return self._run_vm(runtime, vm)
+        code = getattr(runtime, "_vm", None)
+        if code is not None:
+            return self._run_vm(runtime, code)
         machine: Machine = runtime.machine
         stats = RunStats()
         power = power_table(machine.cost, machine.peripherals)
@@ -287,13 +288,16 @@ class IntermittentExecutor:
 
     # -- the VM stepping loop -------------------------------------------------------
 
-    def _run_vm(self, runtime, vm) -> RunResult:
-        """Drive compiled bytecode instead of the step generator.
+    def _run_vm(self, runtime, code) -> RunResult:
+        """Step the runtime's bytecode instead of its step generator.
 
         Observationally identical to :meth:`run` on the same runtime:
         same trace events, metrics, NV state and error behaviour.  The
-        hot loop touches only preresolved instruction tuples and plain
-        dicts — no generator resumption, no attribute chases, and the
+        only machine state of its own is the local ``pc``; every run
+        and every reboot starts at the dispatch instruction (pc 0),
+        which re-reads the committed task cursor.  The hot loop
+        touches only preresolved instruction tuples and plain dicts —
+        no generator resumption, no attribute chases, and the
         zero-cost obs contract (a single ``is not None`` test per
         charged step) is preserved.
         """
@@ -316,7 +320,6 @@ class IntermittentExecutor:
         meter_get = machine.meter._by_category.get
         meter_cat = machine.meter._by_category
         clock = machine.clock
-        code = vm.vmcode.code
         max_active = self.max_active_time_us
         limit = self.nontermination_limit
 
@@ -334,8 +337,6 @@ class IntermittentExecutor:
         # active time accumulates in a local; the try/finally below
         # folds it into the counter dict on every exit path
         active = 0.0
-        snapshots_before = vm.snapshots_taken
-        vm.pc = 0  # DISPATCH_PC: fresh run re-reads the committed cursor
 
         def emit_failure(step_category: str) -> None:
             emit(
@@ -400,7 +401,6 @@ class IntermittentExecutor:
                 machine.timekeeper.notify_dark_period(dark_us)
                 machine.power_cycle()
                 runtime.on_reboot()
-                vm.on_reboot()
             next_reset = schedule_next(now)
             emit(now, T.BOOT)
             return charge_boot()
@@ -426,7 +426,7 @@ class IntermittentExecutor:
 
         completed = False
         last_commits = commit_count(T.TASK_COMMIT)
-        pc = 0
+        pc = 0  # the dispatch instruction: reads the committed cursor
         while not died_dark:
             dur, step, tk, cat, en, eff, draw = code[pc]
             if dur is None:
@@ -488,7 +488,7 @@ class IntermittentExecutor:
                         )
                 if died_dark:
                     break
-                pc = 0
+                pc = 0  # reboot: resume from the committed cursor
                 continue
             # -- full charge, then the instruction's effects -----------
             if env is not None:
@@ -518,7 +518,6 @@ class IntermittentExecutor:
                 completed = True
                 break
 
-        vm.pc = pc
         clock._now_us = now
         counters["time_us.active"] += active
         stats.task_commits = commit_count(T.TASK_COMMIT)
@@ -531,11 +530,6 @@ class IntermittentExecutor:
             c = ambient.counters
             c["vm.runs"] = c.get("vm.runs", 0) + 1
             c["vm.ops_dispatched"] = c.get("vm.ops_dispatched", 0) + ops
-            snaps = vm.snapshots_taken - snapshots_before
-            if snaps:
-                c["vm.snapshots_taken"] = (
-                    c.get("vm.snapshots_taken", 0) + snaps
-                )
             # per-run attribution: did this run's bytecode come from the
             # compile cache (recycled instance) or a fresh lowering?
             if getattr(runtime, "_vm_cached", False):

@@ -39,7 +39,7 @@ import sys
 from typing import Optional, Tuple
 
 from repro.apps import APPS
-from repro.core.run import run_app
+from repro.core.run import RUNTIMES, run_app
 from repro.kernel.executor import RunResult
 from repro.kernel.power import NoFailures, UniformFailureModel
 from repro.obs import series as obs_series
@@ -64,8 +64,7 @@ def _add_run_args(
     p: argparse.ArgumentParser, app_required: bool = True
 ) -> None:
     p.add_argument("--app", required=app_required, choices=sorted(APPS))
-    p.add_argument("--runtime", default="easeio",
-                   choices=["alpaca", "ink", "samoyed", "easeio"])
+    p.add_argument("--runtime", default="easeio", choices=sorted(RUNTIMES))
     p.add_argument("--continuous", action="store_true",
                    help="no power failures")
     p.add_argument("--low-ms", type=float, default=5.0,
@@ -360,7 +359,7 @@ def main(argv=None) -> int:
     p_diff.add_argument("--vs-app", default=None, choices=sorted(APPS),
                         help="b-side app (default: same as --app)")
     p_diff.add_argument("--vs-runtime", default=None,
-                        choices=["alpaca", "ink", "samoyed", "easeio"],
+                        choices=sorted(RUNTIMES),
                         help="b-side runtime (default: same)")
     p_diff.add_argument("--vs-seed", type=int, default=None,
                         help="b-side failure seed (default: same)")

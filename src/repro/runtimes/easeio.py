@@ -45,12 +45,7 @@ from repro.hw import trace as T
 from repro.hw.mcu import Machine
 from repro.ir import ast as A
 from repro.ir import costs
-from repro.ir.transform import (
-    PRIV_BUFFER,
-    TransformOptions,
-    TransformResult,
-    transform_program,
-)
+from repro.ir.transform import PRIV_BUFFER, TransformResult
 from repro.kernel.stats import IO, OVERHEAD, Step
 from repro.runtimes.base import TaskRuntime
 
@@ -66,16 +61,6 @@ class EaseIORuntime(TaskRuntime):
         self._info = transformed.task_info
         self._options = transformed.options
         super().__init__(transformed.program, machine)
-
-    @classmethod
-    def from_source(
-        cls,
-        program: A.Program,
-        machine: Machine,
-        options: Optional[TransformOptions] = None,
-    ) -> "EaseIORuntime":
-        """Compile an annotated program and load it."""
-        return cls(transform_program(program, options), machine)
 
     # -- commit: clear this task's flags atomically -----------------------------
 

@@ -30,6 +30,7 @@ import json
 import sys
 from typing import Dict, List, Optional
 
+from repro.core.run import RUNTIMES
 from repro.errors import ReproError
 from repro.serve.daemon import (
     DEFAULT_HOST,
@@ -39,8 +40,6 @@ from repro.serve.daemon import (
     run_daemon,
 )
 from repro.serve.kinds import campaign_kind, kinds
-
-_RUNTIMES = ("alpaca", "ink", "samoyed", "easeio")
 
 
 def _client(args) -> ServeClient:
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-submit the campaign embedded in a JSON report")
     # an unset flag is left out of the config: the kind's default holds
     p.add_argument("--app", default=None, help="check: the app (required)")
-    p.add_argument("--runtime", default=None, choices=_RUNTIMES)
+    p.add_argument("--runtime", default=None, choices=sorted(RUNTIMES))
     p.add_argument("--mode", default=None, choices=["exhaustive", "random"])
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--runs", type=int, default=None)

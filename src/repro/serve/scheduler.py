@@ -168,7 +168,6 @@ class Checkpoint:
 # -- worker-side plumbing --------------------------------------------------
 
 _TASK: Optional[Callable] = None
-_ENCODE: Optional[Callable] = None
 
 
 def _spread_worker() -> None:
@@ -189,7 +188,7 @@ def _spread_worker() -> None:
         pass  # no affinity control on this platform: the kernel decides
 
 
-def _pool_init(task, encode) -> None:
+def _pool_init(task) -> None:
     # workers must survive the terminal's Ctrl-C so the parent can
     # drain them; the parent alone decides when the campaign stops
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -198,18 +197,14 @@ def _pool_init(task, encode) -> None:
     # on the task queue lock, and the pool's join then waits forever
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _spread_worker()
-    global _TASK, _ENCODE
-    _TASK, _ENCODE = task, encode
+    global _TASK
+    _TASK = task
 
 
 def _run_shard(items: List[Tuple[int, object]]) -> List[Tuple[int, object]]:
     """Execute one shard of (index, payload) units inside a worker."""
     assert _TASK is not None, "scheduler worker not initialized"
-    out: List[Tuple[int, object]] = []
-    for index, payload in items:
-        result = _TASK(payload)
-        out.append((index, _ENCODE(result) if _ENCODE else result))
-    return out
+    return [(index, _TASK(payload)) for index, payload in items]
 
 
 # -- the scheduler ---------------------------------------------------------
@@ -291,17 +286,16 @@ class BatchScheduler:
         self,
         units: Sequence[WorkUnit],
         task: Callable,
-        encode: Optional[Callable] = None,
         decode: Optional[Callable] = None,
         counters: Optional[Callable] = None,
     ) -> List[object]:
         """Execute every unit; results in ``units`` order.
 
-        ``task(payload) -> result`` runs in the workers (it and
-        ``encode`` must be module-level picklables for ``workers > 1``);
-        ``encode(result)`` makes it JSON-safe, ``decode(encoded)``
-        inverts that in the parent, ``counters`` maps a decoded result
-        to its telemetry counter dict.
+        ``task(payload) -> encoded`` runs in the workers (a module-level
+        picklable for ``workers > 1``) and returns the unit's result
+        already JSON-safe; ``decode(encoded)`` inverts that in the
+        parent, ``counters`` maps a decoded result to its telemetry
+        counter dict.
         """
         total = len(units)
         if self.telemetry is not None:
@@ -371,13 +365,9 @@ class BatchScheduler:
                 if self.fleet is not None:
                     interrupted = self._run_fleet(pending, keys, absorb)
                 elif self.workers == 1:
-                    interrupted = self._run_inline(
-                        pending, task, encode, absorb
-                    )
+                    interrupted = self._run_inline(pending, task, absorb)
                 else:
-                    interrupted = self._run_pool(
-                        pending, task, encode, absorb
-                    )
+                    interrupted = self._run_pool(pending, task, absorb)
         finally:
             if ckpt is not None:
                 ckpt.close()
@@ -446,16 +436,15 @@ class BatchScheduler:
     def _cancelled(self) -> bool:
         return self.cancel is not None and self.cancel.is_set()
 
-    def _run_inline(self, pending, task, encode, absorb) -> Optional[str]:
+    def _run_inline(self, pending, task, absorb) -> Optional[str]:
         self._event("shard", shard=0, units=len(pending), of=1)
         for index, payload in pending:
             if self._cancelled():
                 return "cancelled"
             try:
-                result = task(payload)
+                batch = [(index, task(payload))]
             except KeyboardInterrupt:
                 return "signal"
-            batch = [(index, encode(result) if encode else result)]
             try:
                 absorb(batch)
             except KeyboardInterrupt:
@@ -510,7 +499,7 @@ class BatchScheduler:
                 self._note(name, n)
         return interrupted
 
-    def _run_pool(self, pending, task, encode, absorb) -> Optional[str]:
+    def _run_pool(self, pending, task, absorb) -> Optional[str]:
         shard_size = self.shard_size or max(
             1, min(16, len(pending) // (self.workers * 4) or 1)
         )
@@ -537,7 +526,7 @@ class BatchScheduler:
         with multiprocessing.Pool(
             processes=self.workers,
             initializer=_pool_init,
-            initargs=(task, encode),
+            initargs=(task,),
         ) as pool:
             inflight: Dict[int, object] = {}
             next_shard = 0

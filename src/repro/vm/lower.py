@@ -1,11 +1,35 @@
 """Lowering: runtime programs -> flat register-style bytecode.
 
-The :class:`Lowerer` walks a runtime's program once and produces the
-flat instruction list described in :mod:`repro.vm.machine`.  Everything
-the generator interpreter re-derives per statement — access costs, step
-kinds, energy categories, privatization policy, lock/guard wiring, task
-dispatch — is resolved *here*, at compile time, and baked into
-specialized instruction tuples:
+The bytecode is the whole VM.  :func:`lower` compiles one runtime
+instance's program (one ``(Program, runtime class, transform options)``
+triple, bound to that instance) into a flat list of instruction tuples,
+and :meth:`~repro.kernel.executor.IntermittentExecutor._run_vm` steps
+the list with a local pc.  An instruction has one of two forms:
+
+``(duration_us, step, time_key, category, energy_uj, effect, draw_mw)``
+    a *charged* instruction: the precomputed :class:`Step` is charged
+    against clock and meter exactly like the generator path
+    (``draw_mw`` prices truncated windows at a power failure), and
+    ``effect(now_us) -> next_pc`` applies the statement's memory and
+    trace effects afterwards;
+
+``(None, None, None, None, None, effect, None)``
+    a *control* instruction: no time passes, ``effect(now_us)`` just
+    computes the next pc (dispatch, loop latches, branch joins).
+
+``effect`` returning :data:`HALT` (-1) ends the run.  The tuples close
+over the instance's typed cells, byte views and bound trace/peripheral
+methods, so executing them touches the same simulated hardware the
+generator interpreter would.  A reboot is a jump to :data:`DISPATCH_PC`:
+the dispatch instruction there re-reads the committed task cursor from
+simulated FRAM, and the loop registers and scratch slots are dead values
+that the new attempt rewrites before any use.
+
+The :class:`Lowerer` walks the program once.  Everything the generator
+interpreter re-derives per statement — access costs, step kinds, energy
+categories, privatization policy, lock/guard wiring, task dispatch — is
+resolved *here*, at compile time, and baked into specialized
+instruction tuples:
 
 * expression trees compile to Python lambdas over bound typed cells
   (``float(g0()) + 3.0``) with the reference evaluator's exact numeric
@@ -31,11 +55,11 @@ priced once per compile, with the loop registers in scope free.  That
 is sound because the environment's variable population is fixed after
 runtime construction.
 
-Anything the lowerer does not understand — subclassed AST nodes,
-unknown statements, shape mismatches — raises :class:`Unlowerable`,
-and :func:`lower` returns ``None`` so the caller falls back to the
-generator interpreter (which then reproduces the reference behaviour,
-including its error paths).
+Anything the lowerer does not understand — a subclassed AST node,
+an unknown statement, a shape mismatch — raises :class:`Unlowerable`.
+:func:`lower` lets that, and any error a runtime's ``vm_*`` hook
+raises, propagate: a program the lowerer cannot compile raises, it is
+never handed back to the interpreter.
 """
 
 from __future__ import annotations
@@ -45,12 +69,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import PeripheralError, ProgramError, ReproError
+from repro.errors import ProgramError
 from repro.hw import trace as T
 from repro.ir import ast as A
 from repro.ir import costs
 from repro.kernel.stats import APP, IO, OVERHEAD, Step
-from repro.vm.machine import DISPATCH_PC, HALT, VM, VMCode
+
+#: sentinel next-pc meaning "the program halted"
+HALT = -1
+
+#: pc of the dispatch instruction (every reboot resumes here)
+DISPATCH_PC = 0
 
 
 class Unlowerable(Exception):
@@ -91,14 +120,12 @@ class Ctx:
         self.nv_of = partial(env.nv_of, free=self.loop_regs)
 
 
-#: statement node types with first-class lowering (exact-type matched;
-#: subclasses fall back to the generator interpreter)
 _CMP_SRC = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "==": "==", "!=": "!="}
 _BIN_SRC = {"+": "+", "-": "-", "*": "*", "/": "/", "%": "%"}
 
 
 class Lowerer:
-    """Compiles one runtime instance's program into a :class:`VM`."""
+    """Compiles one runtime instance's program into its bytecode."""
 
     def __init__(self, runtime) -> None:
         self.rt = runtime
@@ -113,7 +140,6 @@ class Lowerer:
         # in place, identity never changes)
         self.R: List[int] = []
         self.S: List[object] = [None] * 4
-        self.max_regs = 0
         self._emit_tr = runtime.machine.trace.emit
         self._power = costs.power_table(self.cost, runtime.machine.peripherals)
         self._cpu_mw = self.cost.power_cpu_mw
@@ -405,7 +431,6 @@ class Lowerer:
         if stmt.count <= 0:
             return
         reg = len(ctx.loop_order)
-        self.max_regs = max(self.max_regs, reg + 1)
         while len(self.R) <= reg:
             self.R.append(0)
         entry_idx = self.ctl(None)
@@ -665,7 +690,7 @@ class Lowerer:
 
     # ==== program assembly =================================================
 
-    def lower_program(self) -> VM:
+    def lower_program(self) -> List[tuple]:
         rt = self.rt
         tasks = rt.program.tasks
         entry_labels = [self.label() for _ in tasks]
@@ -675,11 +700,7 @@ class Lowerer:
             self.mark(entry_labels[i])
             self._cur_task = task
             rt.vm_lower_task(self, task, i)
-        code = self._finalize()
-        vmcode = VMCode(
-            code, self.max_regs, len(self.S), rt.name, rt.program_name
-        )
-        return VM(vmcode, rt, self.R, self.S)
+        return self._finalize()
 
     def _finalize(self) -> List[tuple]:
         code: List[tuple] = []
@@ -704,14 +725,10 @@ class Lowerer:
     _cur_task: A.Task = None  # type: ignore[assignment]
 
 
-def lower(runtime) -> Optional[VM]:
-    """Compile ``runtime`` into a VM, or ``None`` when not lowerable.
+def lower(runtime) -> List[tuple]:
+    """Compile ``runtime``'s program into its bytecode.
 
-    A ``None`` return means the executor keeps using the generator
-    interpreter for this runtime — behaviour-preserving by
-    construction.
+    Raises :class:`Unlowerable`, or whatever a runtime's ``vm_*`` hook
+    raised, when the program cannot be compiled.
     """
-    try:
-        return Lowerer(runtime).lower_program()
-    except (Unlowerable, ProgramError, PeripheralError, ReproError, KeyError):
-        return None
+    return Lowerer(runtime).lower_program()

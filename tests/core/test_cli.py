@@ -34,6 +34,28 @@ class TestRunCommand:
             main(["run", "doom"])
 
 
+class TestInputErrors:
+    """A bad input exits 2 with one line, never a traceback or exit 1
+    (exit 1 means a report that is not ok)."""
+
+    @pytest.mark.parametrize("argv, prefix, needle", [
+        (["check", "uni_temp", "--env", "bogus:x=1"], "repro", "'bogus'"),
+        (["fuzz", "--runs", "1", "--runtimes", "easeio,bogus"],
+         "repro", "unknown runtime 'bogus'"),
+        (["env", "sweep", "--count", "1", "--apps", "nope"],
+         "env", "unknown app 'nope'"),
+    ])
+    def test_exit_2_with_one_line(self, capsys, argv, prefix, needle):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{prefix}: error: ")
+        assert needle in lines[0]
+
+
 class TestLintCommand:
     def test_clean_app(self, capsys):
         rc = main(["lint", "uni_temp"])

@@ -67,6 +67,21 @@ class TestJobLifecycle:
         assert field in job["error"]
         assert job["progress"] == {}  # nothing ran
 
+    @pytest.mark.parametrize("kind, config, name", [
+        ("check", dict(SMALL_CHECK, runtime="bogus"), "bogus"),
+        ("fuzz", {"runs": 1, "runtimes": ["easeio", "bogus"]}, "bogus"),
+        ("env-sweep", {"count": 1, "apps": ["nope"]}, "nope"),
+        ("env-sweep", {"count": 1, "runtimes": ["bogus"]}, "bogus"),
+    ])
+    def test_unknown_app_or_runtime_fails_at_submit(
+        self, manager, kind, config, name
+    ):
+        job = manager.submit(kind, config)
+        assert job["state"] == "failed"
+        assert f"{name!r}" in job["error"]
+        assert "choose from" in job["error"]
+        assert job["progress"] == {}  # nothing ran
+
     def test_jobs_run_one_at_a_time(self, manager):
         """Inline jobs share the process's pooled runtimes, so they must
         not overlap; each report equals a standalone campaign's."""

@@ -17,10 +17,6 @@ def square(payload):
     return {"value": payload * payload}
 
 
-def encode_result(result):
-    return dict(result)
-
-
 def decode_result(encoded):
     return {"value": encoded["value"], "decoded": True}
 
@@ -47,10 +43,10 @@ class TestBasicRuns:
 
     def test_pool_matches_inline(self):
         inline = BatchScheduler(workers=1).run(
-            units_for(9), task=square, encode=encode_result
+            units_for(9), task=square
         )
         pooled = BatchScheduler(workers=2, shard_size=2).run(
-            units_for(9), task=square, encode=encode_result
+            units_for(9), task=square
         )
         assert pooled == inline
 
@@ -69,8 +65,7 @@ class TestBasicRuns:
 
     def test_decode_applied_exactly_once(self):
         out = BatchScheduler(workers=1).run(
-            units_for(3), task=square,
-            encode=encode_result, decode=decode_result,
+            units_for(3), task=square, decode=decode_result
         )
         assert all(r["decoded"] is True for r in out)
 
@@ -91,7 +86,7 @@ class TestPoolFeed:
             orig_tick(result, counters)
 
         sched._tick = tick
-        out = sched.run(units_for(12), task=square, encode=encode_result)
+        out = sched.run(units_for(12), task=square)
         assert out == [{"value": i * i} for i in range(12)]
         assert log[:log.index("absorb")].count("shard") == 4
         assert log.count("shard") == 12
@@ -101,7 +96,7 @@ class TestPoolFeed:
         # bounds how late it sees a cancel, so a long one costs nothing
         start = time.monotonic()
         out = BatchScheduler(workers=2, poll_s=5.0).run(
-            units_for(12), task=square, encode=encode_result
+            units_for(12), task=square
         )
         assert out == [{"value": i * i} for i in range(12)]
         assert time.monotonic() - start < 2.5
@@ -119,7 +114,7 @@ class TestPoolFeed:
 
         sched._tick = tick_then_interrupt
         with pytest.raises(CampaignInterrupted) as err:
-            sched.run(units_for(40), task=square, encode=encode_result)
+            sched.run(units_for(40), task=square)
         assert err.value.done % 4 == 0
         assert sched.last_run_stats["executed"] == err.value.done
 
@@ -143,7 +138,7 @@ class TestStoreShortCircuit:
         statements = []
         store.backend._conn().set_trace_callback(statements.append)
         BatchScheduler(workers=2, store=store, shard_size=4).run(
-            units_for(12), task=square, encode=encode_result
+            units_for(12), task=square
         )
         assert store.writes == 12
         assert statements.count("COMMIT") == 3
@@ -338,7 +333,7 @@ class TestCancelEvent:
 
         sched._tick = tick_and_cancel
         with pytest.raises(CampaignInterrupted) as err:
-            sched.run(units_for(40), task=square, encode=encode_result)
+            sched.run(units_for(40), task=square)
         assert 2 <= err.value.done < 40
         assert len(err.value.results) == err.value.done
         # every drained result is durable, in the store
