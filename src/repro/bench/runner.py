@@ -3,10 +3,11 @@
 Each experiment in the paper is an average over many runs with
 pseudo-random failure schedules (section 5.3: "each application is
 executed 1000 times with pseudo-random seeds").  ``run_many`` executes
-``reps`` independent runs — fresh machine, fresh program, seeded
-failure model — and aggregates the section 5.2 metrics, including the
-Figure 7/10 time breakdown (application / runtime overhead / wasted
-work) computed against the runtime's own continuous-power useful time.
+``reps`` independent runs — a just-built machine state, the cell's one
+compiled program, a seeded failure model — and aggregates the section
+5.2 metrics, including the Figure 7/10 time breakdown (application /
+runtime overhead / wasted work) computed against the runtime's own
+continuous-power useful time.
 """
 
 from __future__ import annotations
@@ -15,12 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.apps import APPS, AppSpec
-from repro.core.run import (
-    continuous_useful_time,
-    nv_state,
-    run_app,
-    run_program,
-)
+from repro.core.run import nv_state, run_app
+from repro.errors import ReproError
 from repro.ir.transform import TransformOptions
 from repro.kernel.power import NoFailures, UniformFailureModel
 
@@ -78,45 +75,34 @@ def run_many(
     callable ``rep -> environment`` (Figure 13); otherwise the paper's
     uniform soft-reset timer in ``[failure_low_ms, failure_high_ms]`` is
     used.
+
+    ``spec`` must be the registered :data:`~repro.apps.APPS` entry of
+    its name: every run goes through the compilation cache (one compile
+    for the whole cell), which builds programs by app name, so any
+    other spec raises ``ReproError`` rather than report another
+    program's numbers.
     """
-    build_kwargs = build_kwargs or {}
-    # registered apps go through the compilation cache: one compile for
-    # the whole cell instead of one per repetition
-    registered = APPS.get(spec.name) is spec
+    if APPS.get(spec.name) is not spec:
+        raise ReproError(
+            f"run_many needs a registered app spec; {spec.name!r} is not "
+            f"APPS[{spec.name!r}]"
+        )
 
     def execute(failure_model):
-        if registered:
-            return run_app(
-                spec.name,
-                runtime=runtime,
-                failure_model=failure_model,
-                seed=env_seed,
-                build_kwargs=build_kwargs,
-                transform_options=transform_options,
-                trace_events=False,
-                nontermination_limit=nontermination_limit,
-                # each result is fully aggregated before the next rep
-                reuse_machine=True,
-            )
-        return run_program(
-            spec.build(**build_kwargs),
+        return run_app(
+            spec.name,
             runtime=runtime,
             failure_model=failure_model,
             seed=env_seed,
+            build_kwargs=build_kwargs,
             transform_options=transform_options,
             trace_events=False,
             nontermination_limit=nontermination_limit,
+            # each result is fully aggregated before the next rep
+            reuse_machine=True,
         )
 
-    if registered:
-        app_us = execute(NoFailures()).metrics.app_time_us
-    else:
-        app_us = continuous_useful_time(
-            spec.build(**build_kwargs),
-            runtime,
-            seed=env_seed,
-            transform_options=transform_options,
-        )
+    app_us = execute(NoFailures()).metrics.app_time_us
 
     totals = {
         "active": 0.0, "overhead": 0.0, "wasted": 0.0, "wall": 0.0,

@@ -436,7 +436,7 @@ def diff_run(
     return RunVerdict(
         schedule=schedule,
         completed=result.completed,
-        power_failures=result.stats.power_failures,
+        power_failures=result.metrics.power_failures,
         violations=tuple(violations),
         counters=_counters(trace),
         check_level="events" if events_mode else "counters",

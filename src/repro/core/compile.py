@@ -55,9 +55,8 @@ from repro.ir.transform import (
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """A shareable compilation artifact for one (app, runtime) cell."""
+    """A shareable compilation artifact: one program built for one runtime."""
 
-    app: str
     runtime: str
     program: A.Program
     #: EaseIO only: transform output (``program`` above is its input)
@@ -147,16 +146,14 @@ def compile_app(
     global _hits, _misses
     if not fastpath.enabled():
         return compile_program(
-            build_app_program(app, build_kwargs), runtime,
-            transform_options, app=app,
+            build_app_program(app, build_kwargs), runtime, transform_options
         )
     key = (program_key(app, build_kwargs), runtime, _options_key(transform_options))
     artifact = _compiled.get(key)
     if artifact is None:
         _misses += 1
         artifact = compile_program(
-            build_app_program(app, build_kwargs), runtime,
-            transform_options, app=app,
+            build_app_program(app, build_kwargs), runtime, transform_options
         )
         _compiled[key] = artifact
     else:
@@ -168,15 +165,13 @@ def compile_program(
     program: A.Program,
     runtime: str,
     transform_options: Optional[TransformOptions] = None,
-    app: Optional[str] = None,
 ) -> CompiledProgram:
     """The runtime-ready artifact for one built program (uncached)."""
     transformed = None
     if runtime == "easeio":
         transformed = transform_program(program, transform_options)
     return CompiledProgram(
-        app=app or program.name, runtime=runtime, program=program,
-        transformed=transformed,
+        runtime=runtime, program=program, transformed=transformed
     )
 
 

@@ -73,6 +73,28 @@ def build_runtime(
     return instantiate(compiled, machine)
 
 
+def _execute(
+    rt: TaskRuntime,
+    failure_model: Optional[FailureModel],
+    nontermination_limit: int,
+    max_active_time_us: float,
+    step_observer: Optional[Callable],
+    recorder,
+) -> RunResult:
+    """Run ``rt`` once under a fresh executor; attach ``result.runtime``."""
+    # unconditionally (re)assigned: pooled machines keep their trace
+    # across recycles, so a stale recorder must not leak into this run
+    rt.machine.trace.recorder = recorder
+    result = IntermittentExecutor(
+        failure_model=failure_model,
+        nontermination_limit=nontermination_limit,
+        max_active_time_us=max_active_time_us,
+        step_observer=step_observer,
+    ).run(rt)
+    result.runtime = rt  # type: ignore[attr-defined]
+    return result
+
+
 def run_program(
     program: A.Program,
     runtime: str = "easeio",
@@ -103,16 +125,10 @@ def run_program(
         transform_options=transform_options,
         trace_events=trace_events,
     )
-    rt.machine.trace.recorder = recorder
-    executor = IntermittentExecutor(
-        failure_model=failure_model,
-        nontermination_limit=nontermination_limit,
-        max_active_time_us=max_active_time_us,
-        step_observer=step_observer,
+    return _execute(
+        rt, failure_model, nontermination_limit, max_active_time_us,
+        step_observer, recorder,
     )
-    result = executor.run(rt)
-    result.runtime = rt  # type: ignore[attr-defined]
-    return result
 
 
 def run_app(
@@ -161,18 +177,10 @@ def run_app(
     else:
         machine = build_machine(seed=seed, cost=cost, trace_events=trace_events)
         rt = instantiate(compiled, machine)
-    # unconditionally (re)assigned: pooled machines keep their trace
-    # across recycles, so a stale recorder must not leak into this run
-    rt.machine.trace.recorder = recorder
-    executor = IntermittentExecutor(
-        failure_model=failure_model,
-        nontermination_limit=nontermination_limit,
-        max_active_time_us=max_active_time_us,
-        step_observer=step_observer,
+    return _execute(
+        rt, failure_model, nontermination_limit, max_active_time_us,
+        step_observer, recorder,
     )
-    result = executor.run(rt)
-    result.runtime = rt  # type: ignore[attr-defined]
-    return result
 
 
 def continuous_useful_time(

@@ -2,7 +2,7 @@
 
 - :mod:`repro.kernel.power` — timer/scripted failure models
 - :mod:`repro.kernel.executor` — the intermittent executor
-- :mod:`repro.kernel.stats` — steps, run statistics, metrics
+- :mod:`repro.kernel.stats` — steps and the per-run metrics record
 """
 
 from repro.kernel.executor import IntermittentExecutor, RunResult
@@ -12,7 +12,7 @@ from repro.kernel.power import (
     ScriptedFailures,
     UniformFailureModel,
 )
-from repro.kernel.stats import APP, BOOT, IO, OVERHEAD, Metrics, RunStats, Step
+from repro.kernel.stats import APP, BOOT, IO, OVERHEAD, Metrics, Step
 
 __all__ = [
     "APP",
@@ -24,7 +24,6 @@ __all__ = [
     "Metrics",
     "NoFailures",
     "RunResult",
-    "RunStats",
     "ScriptedFailures",
     "Step",
     "UniformFailureModel",

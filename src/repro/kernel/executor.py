@@ -30,6 +30,12 @@ cost, notifies the persistent timekeeper of the dark period, and
 restarts the runtime from its committed state.  A task that fails too
 many consecutive times without any commit raises
 :class:`~repro.errors.NonTermination` (section 3.5).
+
+A run is accounted once.  Each loop keeps the charged time per step
+kind in a plain dict and the active and dark sums in locals; both end
+in :meth:`IntermittentExecutor._finish`, which assembles the run's
+:class:`~repro.kernel.stats.Metrics` and reads power failures and task
+commits off the trace, the run's only count of them.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from repro.hw import trace as T
 from repro.hw.mcu import Machine
 from repro.ir.costs import power_table
 from repro.kernel.power import FailureModel, NoFailures
-from repro.kernel.stats import BOOT, Metrics, RunStats, Step
+from repro.kernel.stats import APP, BOOT, IO, OVERHEAD, STEP_KINDS, Metrics, Step
 from repro.obs import metrics as obs_metrics
 
 
@@ -52,7 +58,6 @@ class RunResult:
     """Everything a single run produced."""
 
     metrics: Metrics
-    stats: RunStats
     completed: bool
     died_dark: bool = False  # energy environment: charge never recovered
 
@@ -102,12 +107,15 @@ class IntermittentExecutor:
         )
         code = getattr(runtime, "_vm", None)
         if code is not None:
-            return self._run_vm(runtime, code)
+            return self._run_vm(runtime, code, env)
         machine: Machine = runtime.machine
-        stats = RunStats()
         power = power_table(machine.cost, machine.peripherals)
         self.failure_model.reset()
 
+        # charged time per step kind, and the active and dark sums
+        by_kind = dict.fromkeys(STEP_KINDS, 0.0)
+        active = 0.0
+        dark = 0.0
         next_reset = math.inf
         failures_since_commit = 0
         died_dark = False
@@ -128,7 +136,6 @@ class IntermittentExecutor:
         cpu_mw = machine.cost.power_cpu_mw
         clock_advance = machine.clock.advance
         meter_add_power = machine.meter.add_power
-        stats_charge = stats.charge
         # observability hook: None in the common case, so each charged
         # step pays exactly one ``is not None`` test (the obs hook's
         # zero-overhead contract — see DESIGN.md)
@@ -140,7 +147,7 @@ class IntermittentExecutor:
             Advances the clock, meters energy, and (in an energy
             environment) charges/discharges its capacitor.
             """
-            nonlocal next_reset
+            nonlocal active
             draw_mw = power_get(step.category, cpu_mw)
             start = machine.now_us
             end = start + step.duration_us
@@ -160,7 +167,8 @@ class IntermittentExecutor:
                     env.commit_window(start, executed, draw_mw)
                     if efail < next_reset:
                         env.brownout()
-                stats_charge(step, executed_us=executed)
+                by_kind[step.kind] += executed
+                active += executed
                 if recorder is not None:
                     recorder.on_step(step, executed, draw_mw * executed * 1e-3)
                 return False
@@ -169,7 +177,8 @@ class IntermittentExecutor:
             meter_add_power(step.category, draw_mw, step.duration_us)
             if env is not None:
                 env.commit_window(start, step.duration_us, draw_mw)
-            stats_charge(step)
+            by_kind[step.kind] += step.duration_us
+            active += step.duration_us
             if recorder is not None:
                 recorder.on_step(
                     step,
@@ -180,7 +189,7 @@ class IntermittentExecutor:
 
         def reboot(first: bool) -> bool:
             """Dark period + boot charge; returns False if boot failed."""
-            nonlocal next_reset, dead
+            nonlocal next_reset, dead, dark
             if not first:
                 dark_us = 0.0
                 if env is not None:
@@ -189,7 +198,7 @@ class IntermittentExecutor:
                     dead = True
                     return False
                 machine.clock.advance(dark_us)
-                stats.dark_time_us += dark_us
+                dark += dark_us
                 machine.timekeeper.notify_dark_period(dark_us)
                 machine.power_cycle()
                 runtime.on_reboot()
@@ -209,7 +218,6 @@ class IntermittentExecutor:
                 break
             if env is None and math.isinf(next_reset):
                 raise ReproError("initial boot failed with no failure model")
-            stats.power_failures += 1
             emit_failure("boot")
             failures_since_commit += 1
             if failures_since_commit > self.nontermination_limit:
@@ -238,7 +246,7 @@ class IntermittentExecutor:
                     interrupted = True
                     interrupted_step = step
                     break
-                if stats.active_time_us > max_active:
+                if active > max_active:
                     raise ReproError(
                         f"run exceeded max_active_time_us="
                         f"{self.max_active_time_us}; runaway experiment?"
@@ -250,7 +258,6 @@ class IntermittentExecutor:
                 completed = True
                 break
 
-            stats.power_failures += 1
             emit_failure(
                 interrupted_step.category if interrupted_step else "cpu"
             )
@@ -263,7 +270,6 @@ class IntermittentExecutor:
                 if dead:
                     died_dark = True
                     break
-                stats.power_failures += 1
                 emit_failure("boot")
                 failures_since_commit += 1
                 if failures_since_commit > self.nontermination_limit:
@@ -271,24 +277,13 @@ class IntermittentExecutor:
                         runtime.current_task_name(), failures_since_commit
                     )
 
-        stats.task_commits = machine.trace.count(T.TASK_COMMIT)
-        metrics = self._build_metrics(runtime, machine, stats, completed)
-        if recorder is not None:
-            recorder.finish(metrics, machine.trace)
-        ambient = obs_metrics.ambient()
-        if ambient is not None:
-            obs_metrics.fold_run(ambient, metrics, machine.trace)
-            if env is not None:
-                c = ambient.counters
-                for key, value in env.counters().items():
-                    c[key] = c.get(key, 0) + value
-        return RunResult(
-            metrics=metrics, stats=stats, completed=completed, died_dark=died_dark
+        return self._finish(
+            runtime, env, by_kind, active, dark, completed, died_dark
         )
 
     # -- the VM stepping loop -------------------------------------------------------
 
-    def _run_vm(self, runtime, code) -> RunResult:
+    def _run_vm(self, runtime, code, env) -> RunResult:
         """Step the runtime's bytecode instead of its step generator.
 
         Observationally identical to :meth:`run` on the same runtime:
@@ -302,21 +297,15 @@ class IntermittentExecutor:
         charged step) is preserved.
         """
         machine: Machine = runtime.machine
-        stats = RunStats()
         self.failure_model.reset()
         schedule_next = self.failure_model.schedule_next
-        env = (
-            self.failure_model
-            if getattr(self.failure_model, "energy_coupled", False)
-            else None
-        )
 
         trace = machine.trace
         emit = trace.emit
         commit_count = trace.count
         recorder = trace.recorder
         observer = self.step_observer
-        counters = stats._counters
+        by_kind = dict.fromkeys(STEP_KINDS, 0.0)
         meter_get = machine.meter._by_category.get
         meter_cat = machine.meter._by_category
         clock = machine.clock
@@ -334,9 +323,8 @@ class IntermittentExecutor:
         died_dark = False
         dead = False  # set by reboot() when the dark period never ends
         ops = 0
-        # active time accumulates in a local; the try/finally below
-        # folds it into the counter dict on every exit path
         active = 0.0
+        dark = 0.0
 
         def emit_failure(step_category: str) -> None:
             emit(
@@ -365,7 +353,7 @@ class IntermittentExecutor:
                 meter_cat["boot"] = meter_get("boot", 0.0) + (
                     boot_draw * executed * 1e-3
                 )
-                counters["time_us.boot"] += executed
+                by_kind[BOOT] += executed
                 active += executed
                 if env is not None:
                     env.commit_window(start, executed, boot_draw)
@@ -378,7 +366,7 @@ class IntermittentExecutor:
                 return False
             now = end
             meter_cat["boot"] = meter_get("boot", 0.0) + boot_energy
-            counters["time_us.boot"] += boot_dur
+            by_kind[BOOT] += boot_dur
             active += boot_dur
             if env is not None:
                 env.commit_window(start, boot_dur, boot_draw)
@@ -387,7 +375,7 @@ class IntermittentExecutor:
             return True
 
         def reboot(first: bool) -> bool:
-            nonlocal next_reset, now, dead
+            nonlocal next_reset, now, dead, dark
             if not first:
                 dark_us = 0.0
                 if env is not None:
@@ -397,7 +385,7 @@ class IntermittentExecutor:
                         return False
                     now += dark_us
                     clock._now_us = now
-                stats.dark_time_us += dark_us
+                dark += dark_us
                 machine.timekeeper.notify_dark_period(dark_us)
                 machine.power_cycle()
                 runtime.on_reboot()
@@ -416,7 +404,6 @@ class IntermittentExecutor:
                 break
             if env is None and math.isinf(next_reset):
                 raise ReproError("initial boot failed with no failure model")
-            stats.power_failures += 1
             emit_failure("boot")
             failures_since_commit += 1
             if failures_since_commit > limit:
@@ -428,7 +415,7 @@ class IntermittentExecutor:
         last_commits = commit_count(T.TASK_COMMIT)
         pc = 0  # the dispatch instruction: reads the committed cursor
         while not died_dark:
-            dur, step, tk, cat, en, eff, draw = code[pc]
+            dur, step, kind, cat, en, eff, draw = code[pc]
             if dur is None:
                 # control instruction: free, just compute the next pc
                 ops += 1
@@ -455,7 +442,7 @@ class IntermittentExecutor:
                 now += executed
                 clock._now_us = now
                 meter_cat[cat] = meter_get(cat, 0.0) + draw * executed * 1e-3
-                counters[tk] += executed
+                by_kind[kind] += executed
                 active += executed
                 if env is not None:
                     env.commit_window(start, executed, draw)
@@ -468,7 +455,6 @@ class IntermittentExecutor:
                 if commits != last_commits:
                     failures_since_commit = 0
                     last_commits = commits
-                stats.power_failures += 1
                 emit_failure(step.category)
                 failures_since_commit += 1
                 if failures_since_commit > limit:
@@ -479,7 +465,6 @@ class IntermittentExecutor:
                     if dead:
                         died_dark = True
                         break
-                    stats.power_failures += 1
                     emit_failure("boot")
                     failures_since_commit += 1
                     if failures_since_commit > limit:
@@ -498,7 +483,7 @@ class IntermittentExecutor:
                 meter_cat[cat] += en
             except KeyError:
                 meter_cat[cat] = en
-            counters[tk] += dur
+            by_kind[kind] += dur
             active += dur
             if recorder is not None:
                 recorder.on_step(step, dur, en)
@@ -519,56 +504,46 @@ class IntermittentExecutor:
                 break
 
         clock._now_us = now
-        counters["time_us.active"] += active
-        stats.task_commits = commit_count(T.TASK_COMMIT)
-        metrics = self._build_metrics(runtime, machine, stats, completed)
-        if recorder is not None:
-            recorder.finish(metrics, trace)
-        ambient = obs_metrics.ambient()
-        if ambient is not None:
-            obs_metrics.fold_run(ambient, metrics, trace)
-            c = ambient.counters
-            c["vm.runs"] = c.get("vm.runs", 0) + 1
-            c["vm.ops_dispatched"] = c.get("vm.ops_dispatched", 0) + ops
-            # per-run attribution: did this run's bytecode come from the
-            # compile cache (recycled instance) or a fresh lowering?
-            if getattr(runtime, "_vm_cached", False):
-                c["vm.compile_cache_hits"] = (
-                    c.get("vm.compile_cache_hits", 0) + 1
-                )
-            else:
-                c["vm.compile_cache_misses"] = (
-                    c.get("vm.compile_cache_misses", 0) + 1
-                )
-            if env is not None:
-                for key, value in env.counters().items():
-                    c[key] = c.get(key, 0) + value
-        return RunResult(
-            metrics=metrics,
-            stats=stats,
-            completed=completed,
-            died_dark=died_dark,
+        return self._finish(
+            runtime, env, by_kind, active, dark, completed, died_dark, ops
         )
 
     # -- metrics assembly -----------------------------------------------------------
 
     @staticmethod
-    def _build_metrics(
-        runtime, machine: Machine, stats: RunStats, completed: bool
-    ) -> Metrics:
+    def _finish(
+        runtime,
+        env,
+        by_kind,
+        active: float,
+        dark: float,
+        completed: bool,
+        died_dark: bool,
+        vm_ops: Optional[int] = None,
+    ) -> RunResult:
+        """Assemble the run's :class:`Metrics` and report them.
+
+        Both stepping loops end here.  Power failures and task commits
+        are read off the trace, which counts every event it is handed
+        even when event storage is off.  The recorder (if attached)
+        and the ambient registry (if collecting) each receive the run;
+        ``vm_ops`` (instructions dispatched; None on the reference
+        path) adds the ``vm.*`` counters.
+        """
+        machine: Machine = runtime.machine
         tr = machine.trace
-        return Metrics(
+        metrics = Metrics(
             runtime=runtime.name,
             app=runtime.program_name,
             completed=completed,
             total_time_us=machine.now_us,
-            active_time_us=stats.active_time_us,
-            dark_time_us=stats.dark_time_us,
-            app_time_us=stats.useful_time_us,
-            overhead_time_us=stats.overhead_time_us,
-            boot_time_us=stats.boot_time_us,
-            power_failures=stats.power_failures,
-            task_commits=stats.task_commits,
+            active_time_us=active,
+            dark_time_us=dark,
+            app_time_us=by_kind[APP] + by_kind[IO],
+            overhead_time_us=by_kind[OVERHEAD],
+            boot_time_us=by_kind[BOOT],
+            power_failures=tr.count(T.POWER_FAILURE),
+            task_commits=tr.count(T.TASK_COMMIT),
             io_executions=tr.count(T.IO_EXEC),
             io_reexecutions=tr.io_reexecutions(),
             io_skips=tr.count(T.IO_SKIP) + tr.count(T.IO_SKIP_BLOCK),
@@ -579,4 +554,24 @@ class IntermittentExecutor:
             energy_by_category=machine.meter.by_category(),
             memory_footprint=machine.memory_footprint(),
             text_proxy=runtime.text_proxy(),
+        )
+        if tr.recorder is not None:
+            tr.recorder.finish(metrics, tr)
+        ambient = obs_metrics.ambient()
+        if ambient is not None:
+            obs_metrics.fold_run(ambient, metrics, tr)
+            if vm_ops is not None:
+                ambient.inc("vm.runs")
+                ambient.inc("vm.ops_dispatched", vm_ops)
+                # per-run attribution: did this run's bytecode come from
+                # the compile cache (recycled instance) or a fresh lowering?
+                ambient.inc(
+                    "vm.compile_cache_hits"
+                    if getattr(runtime, "_vm_cached", False)
+                    else "vm.compile_cache_misses"
+                )
+            if env is not None:
+                ambient.merge_counts(env.counters())
+        return RunResult(
+            metrics=metrics, completed=completed, died_dark=died_dark
         )

@@ -1,8 +1,10 @@
 """Run metrics: the five evaluation quantities of section 5.2.
 
-``Step`` is the unit of work the interpreter yields to the executor;
-``RunStats`` accumulates them.  ``Metrics`` is the final per-run record
-the benchmark harness consumes:
+``Step`` is the unit of work the interpreter yields to the executor.
+``Metrics`` is the one per-run record: the executor assembles it when
+a run ends, from the step time it charged per kind and from the
+trace's event counts (power failures, task commits, I/O and DMA
+executions), and every caller reads it:
 
 * **wasted work** — active time beyond the continuous-execution useful
   time and the runtime overhead (re-executed work + boot/restore);
@@ -18,10 +20,9 @@ the benchmark harness consumes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry
 
 # Step kinds --------------------------------------------------------------
 APP = "app"            # original application computation
@@ -30,13 +31,6 @@ OVERHEAD = "overhead"  # runtime-inserted work (guards, privatization, commits)
 BOOT = "boot"          # reboot/restore cost after a power failure
 
 STEP_KINDS = (APP, IO, OVERHEAD, BOOT)
-
-# registry counter names backing RunStats, resolved once at import
-_TIME_KEY = {k: "time_us." + k for k in STEP_KINDS}
-_ACTIVE_KEY = "time_us.active"
-_DARK_KEY = "time_us.dark"
-_FAILURES_KEY = "power_failures"
-_COMMITS_KEY = "task_commits"
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,92 +54,6 @@ class Step:
             raise ReproError(f"step duration must be >= 0, got {self.duration_us}")
         if self.kind not in STEP_KINDS:
             raise ReproError(f"unknown step kind {self.kind!r}")
-
-
-class RunStats:
-    """Accumulates steps and events during one run.
-
-    Since the `repro.obs` refactor there is a single source of truth:
-    the accumulators live as plain counters inside a
-    :class:`~repro.obs.metrics.MetricsRegistry` (``time_us.app``,
-    ``time_us.active``, ``power_failures``, …), and this class is a thin
-    hot-path view over that dict — the executor keeps writing through
-    :meth:`charge` while metrics consumers read the registry directly.
-    The historical attribute surface (``time_by_kind``,
-    ``power_failures = …``) is preserved as properties so existing
-    benchmark and test code keeps working unchanged.
-    """
-
-    __slots__ = ("registry", "_counters")
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        c = self.registry.counters
-        for key in _TIME_KEY.values():
-            c.setdefault(key, 0.0)
-        c.setdefault(_ACTIVE_KEY, 0.0)
-        c.setdefault(_DARK_KEY, 0.0)
-        c.setdefault(_FAILURES_KEY, 0)
-        c.setdefault(_COMMITS_KEY, 0)
-        self._counters = c
-
-    def charge(self, step: Step, executed_us: Optional[float] = None) -> None:
-        """Account (possibly truncated) execution of a step."""
-        duration = step.duration_us if executed_us is None else executed_us
-        c = self._counters
-        c[_TIME_KEY[step.kind]] += duration
-        c[_ACTIVE_KEY] += duration
-
-    # -- back-compat read/write surface -----------------------------------
-
-    @property
-    def time_by_kind(self) -> Dict[str, float]:
-        """Computed view over the registry counters (do not mutate)."""
-        c = self._counters
-        return {k: c[key] for k, key in _TIME_KEY.items()}
-
-    @property
-    def power_failures(self) -> int:
-        return self._counters[_FAILURES_KEY]
-
-    @power_failures.setter
-    def power_failures(self, value: int) -> None:
-        self._counters[_FAILURES_KEY] = value
-
-    @property
-    def task_commits(self) -> int:
-        return self._counters[_COMMITS_KEY]
-
-    @task_commits.setter
-    def task_commits(self, value: int) -> None:
-        self._counters[_COMMITS_KEY] = value
-
-    @property
-    def dark_time_us(self) -> float:
-        return self._counters[_DARK_KEY]
-
-    @dark_time_us.setter
-    def dark_time_us(self, value: float) -> None:
-        self._counters[_DARK_KEY] = value
-
-    @property
-    def active_time_us(self) -> float:
-        # the executor reads this once per charged step; keep it O(1)
-        return self._counters[_ACTIVE_KEY]
-
-    @property
-    def useful_time_us(self) -> float:
-        """Application + I/O time (before waste attribution)."""
-        c = self._counters
-        return c[_TIME_KEY[APP]] + c[_TIME_KEY[IO]]
-
-    @property
-    def overhead_time_us(self) -> float:
-        return self._counters[_TIME_KEY[OVERHEAD]]
-
-    @property
-    def boot_time_us(self) -> float:
-        return self._counters[_TIME_KEY[BOOT]]
 
 
 @dataclass

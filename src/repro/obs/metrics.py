@@ -3,10 +3,9 @@
 The registry is a flat namespace of dotted names holding three
 instrument kinds:
 
-* **counters** — monotonically accumulated numbers (``inc``); the
-  executor's own step accounting (:class:`~repro.kernel.stats.RunStats`)
-  is backed by one of these registries, so there is a single source of
-  truth for per-run counts;
+* **counters** — monotonically accumulated numbers (``inc``): run,
+  event, time and energy totals folded in from each finished run's
+  :class:`~repro.kernel.stats.Metrics` and trace counts;
 * **gauges** — last-value-wins samples (``gauge``): memory high-water
   marks, code-size proxies;
 * **histograms** — bucketed distributions (``observe``): step and I/O
@@ -39,8 +38,9 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional
 
 #: canonical name of the step kind the executor charges for reboots;
-#: duplicated from :mod:`repro.kernel.stats` (which imports *us*) to
-#: keep the import graph acyclic — pinned by a test.
+#: duplicated from :mod:`repro.kernel.stats` (the kernel package's
+#: executor imports *us*) to keep the import graph acyclic — pinned by
+#: a test.
 BOOT_KIND = "boot"
 
 #: re-execution semantics that get per-semantic counter breakdowns
@@ -120,9 +120,10 @@ class Histogram:
 class MetricsRegistry:
     """A flat, mergeable namespace of counters, gauges and histograms.
 
-    ``counters`` is a public plain dict on purpose: hot-path writers
-    (the executor's :class:`~repro.kernel.stats.RunStats`) mutate it
-    directly, with no method-call overhead.
+    ``counters`` is a public plain dict on purpose: the end-of-run
+    folds (:func:`fold_run`, and the executor's ``vm.*`` and energy
+    environment counters) add into it directly, with no method-call
+    overhead.
     """
 
     __slots__ = ("counters", "gauges", "histograms")

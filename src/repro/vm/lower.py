@@ -6,12 +6,12 @@ triple, bound to that instance) into a flat list of instruction tuples,
 and :meth:`~repro.kernel.executor.IntermittentExecutor._run_vm` steps
 the list with a local pc.  An instruction has one of two forms:
 
-``(duration_us, step, time_key, category, energy_uj, effect, draw_mw)``
-    a *charged* instruction: the precomputed :class:`Step` is charged
-    against clock and meter exactly like the generator path
-    (``draw_mw`` prices truncated windows at a power failure), and
-    ``effect(now_us) -> next_pc`` applies the statement's memory and
-    trace effects afterwards;
+``(duration_us, step, kind, category, energy_uj, effect, draw_mw)``
+    a *charged* instruction: the precomputed :class:`Step` (of step
+    ``kind``) is charged against clock and meter exactly like the
+    generator path (``draw_mw`` prices truncated windows at a power
+    failure), and ``effect(now_us) -> next_pc`` applies the
+    statement's memory and trace effects afterwards;
 
 ``(None, None, None, None, None, effect, None)``
     a *control* instruction: no time passes, ``effect(now_us)`` just
@@ -44,9 +44,9 @@ instruction tuples:
   checkpoint/restore instruction forms, EaseIO's runtime
   DMA-semantics branch network), so policy is dispatched zero times
   per executed statement;
-* per-instruction charge data (duration, preallocated ``Step``,
-  stats time-key, energy at the category's power draw) is precomputed
-  so the executor's hot loop does no lookups.
+* per-instruction charge data (duration, preallocated ``Step``, step
+  kind, energy at the category's power draw) is precomputed so the
+  executor's hot loop does no lookups.
 
 Prices come from :mod:`repro.ir.costs`, the same functions the
 interpreter charges per executed statement (and per runtime-inserted
@@ -193,18 +193,14 @@ class Lowerer:
         return self.env.array(name, follow_redirect=False)
 
     def scalar_get(self, name: str) -> Callable:
-        """A zero-arg reader for a scalar cell, as fast as available.
+        """A zero-arg reader for a scalar cell.
 
-        On the VM path the cell's typed view is stable for the
-        machine's lifetime, so ``partial(view.item, 0)`` reads the
-        element with a single C-level call — no Python frame.  Falls
-        back to the bound ``Cell.get`` when no view exists.
+        Lowering runs only on the VM path, where every cell holds a
+        typed view that is stable for the machine's lifetime, so
+        ``partial(view.item, 0)`` reads the element with a single
+        C-level call — no Python frame.
         """
-        cell = self._scalar(name)
-        view = getattr(cell, "_view", None)
-        if view is not None:
-            return partial(view.item, 0)
-        return cell.get
+        return partial(self._scalar(name)._view.item, 0)
 
     def copy_pair(self, src: str, dst: str) -> Tuple[np.ndarray, np.ndarray]:
         """(dst_view, src_view) byte views for a word copy (dst[:] = src)."""
@@ -715,7 +711,7 @@ class Lowerer:
                 draw = power_get(cat, cpu_mw)
                 code.append(
                     (
-                        dur, step, "time_us." + kind, cat,
+                        dur, step, kind, cat,
                         draw * dur * 1e-3, eff, draw,
                     )
                 )

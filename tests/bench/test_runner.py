@@ -1,11 +1,14 @@
 """Unit tests for the experiment runner and harvesting calibration."""
 
+import dataclasses
+
 import pytest
 
-from repro.apps import APPS, fir
+from repro.apps import APPS, AppSpec, fir, uni_dma
 from repro.bench.experiments import fig13_environment
 from repro.bench.runner import Aggregate, run_many
 from repro.env import RFSource
+from repro.errors import ReproError
 
 
 class TestRunMany:
@@ -52,6 +55,16 @@ class TestRunMany:
         agg = run_many(APPS["uni_temp"], "easeio", reps=1)
         assert agg.memory["fram"] > 0
         assert agg.text_proxy > 0
+
+    @pytest.mark.parametrize("spec", [
+        # a registered name with another program behind it: running
+        # it by name would report APPS["uni_temp"]'s numbers
+        dataclasses.replace(APPS["uni_temp"], build=uni_dma.build),
+        AppSpec("mine", uni_dma.build, uni_dma.RESULT_VARS, "unregistered"),
+    ], ids=["shadowed", "unregistered"])
+    def test_unregistered_spec_is_refused(self, spec):
+        with pytest.raises(ReproError, match="registered app spec"):
+            run_many(spec, "easeio", reps=1)
 
 
 class TestKneeHarvester:

@@ -84,7 +84,7 @@ class TestRunSchedule:
         result, error = run_schedule("uni_temp", "easeio", (2000.0,))
         assert error is None
         assert result is not None and result.completed
-        assert result.stats.power_failures == 1
+        assert result.metrics.power_failures == 1
 
     def test_starving_schedule_reports_nontermination(self):
         times = tuple(50.0 * (i + 1) for i in range(200))
@@ -97,5 +97,5 @@ class TestRunSchedule:
     def test_infinite_no_failure_schedule(self):
         result, error = run_schedule("uni_temp", "easeio", ())
         assert error is None and result.completed
-        assert result.stats.power_failures == 0
+        assert result.metrics.power_failures == 0
         assert math.isfinite(result.metrics.total_time_us)

@@ -4,10 +4,12 @@ import pytest
 
 from repro import fastpath
 from repro.core.api import ProgramBuilder
-from repro.core.run import nv_state, run_program
+from repro.core.run import nv_state, run_app, run_program
 from repro.env import parse_env
 from repro.errors import NonTermination
+from repro.hw import trace as T
 from repro.kernel.power import NoFailures, ScriptedFailures, UniformFailureModel
+from repro.kernel.stats import APP, BOOT, IO, OVERHEAD, STEP_KINDS
 from tests.conftest import on_sim_path
 
 
@@ -156,19 +158,32 @@ class TestFailureAttribution:
         )
 
 
+def assert_counted_by_trace(result):
+    """The counting rule: a run's failures and commits are its trace's."""
+    m = result.metrics
+    trace = result.runtime.machine.trace
+    assert m.power_failures == trace.count(T.POWER_FAILURE) == len(trace.failures)
+    assert m.task_commits == trace.count(T.TASK_COMMIT)
+    if trace.enabled:
+        assert m.power_failures == len(trace.of_kind(T.POWER_FAILURE))
+        assert m.task_commits == len(trace.of_kind(T.TASK_COMMIT))
+
+
 def run_on_each_path(program_fn, env_spec, **kwargs):
     """Run under a fresh energy environment on every execution path.
 
     Energy failures depend only on the workload's draw against the
-    source, so every path must report the same metrics; returns one
-    path's result after checking that.
+    source, so every path must report the same metrics, each counted
+    off its own trace; returns one path's result after checking that.
     """
     results = []
     for path in fastpath.PATHS:
         with on_sim_path(path):
-            results.append(run_program(
+            result = run_program(
                 program_fn(), failure_model=parse_env(env_spec), **kwargs
-            ))
+            )
+            assert_counted_by_trace(result)
+            results.append(result)
     first = results[0]
     for other in results[1:]:
         assert other.metrics == first.metrics
@@ -274,3 +289,96 @@ class TestBootRetry:
         assert failures[0].detail["step_category"] == "boot"
         assert len(failures) > 1
         assert result.metrics.dark_time_us > 0
+
+
+@pytest.mark.usefixtures("sim_path")
+class TestTraceCounting:
+    """``Metrics`` takes power failures and task commits off the trace."""
+
+    @pytest.mark.parametrize("trace_events", [True, False])
+    def test_scripted_multi_failure_run(self, trace_events):
+        result = run_program(
+            counter_program(work_cycles=3000, tasks=3), runtime="easeio",
+            failure_model=ScriptedFailures([1000.0, 2500.0, 6000.0, 9000.0]),
+            trace_events=trace_events,
+        )
+        assert result.completed
+        assert result.metrics.power_failures == 4
+        assert result.metrics.task_commits == 3
+        assert_counted_by_trace(result)
+
+    def test_boot_window_failures(self):
+        # TestBootRetry's scripted case: every failure lands in a boot
+        result = run_program(
+            counter_program(work_cycles=500, tasks=1), runtime="alpaca",
+            failure_model=ScriptedFailures([200.0, 500.0, 650.0]),
+        )
+        assert result.completed
+        assert result.metrics.power_failures == 3
+        failures = result.runtime.machine.trace.failures
+        assert [f.step_category for f in failures] == ["boot"] * 3
+        assert_counted_by_trace(result)
+
+    def test_run_that_dies_dark(self):
+        result = run_program(
+            counter_program(work_cycles=6_000, tasks=5), runtime="alpaca",
+            failure_model=parse_env("constant:level_mw=0,cap_uf=3,start_v=2.8"),
+        )
+        assert result.died_dark and not result.completed
+        assert result.metrics.power_failures == 1
+        assert result.metrics.task_commits == 0
+        assert_counted_by_trace(result)
+
+
+@pytest.mark.usefixtures("sim_path")
+class TestStepAccounting:
+    """``Metrics`` sums the charged step time per kind, in charge order."""
+
+    def test_charges_sum_per_kind(self):
+        steps = []
+        result = run_app(
+            "uni_temp", "easeio", failure_model=NoFailures(), seed=1,
+            step_observer=lambda now, step: steps.append(step),
+        )
+        boot_us = result.runtime.machine.cost.boot_us
+        by_kind = dict.fromkeys(STEP_KINDS, 0.0)
+        by_kind[BOOT] = active = boot_us  # charged first, never observed
+        for step in steps:
+            by_kind[step.kind] += step.duration_us
+            active += step.duration_us
+        assert all(by_kind[kind] > 0 for kind in STEP_KINDS)
+        m = result.metrics
+        assert m.app_time_us == by_kind[APP] + by_kind[IO]
+        assert m.overhead_time_us == by_kind[OVERHEAD]
+        assert m.boot_time_us == by_kind[BOOT]
+        assert m.active_time_us == active == m.total_time_us
+
+    def test_truncated_step_charges_its_executed_part(self):
+        fail_at = 850.0  # inside the first 200 us compute slice
+        observed = []
+        result = run_program(
+            counter_program(work_cycles=1000, tasks=1), runtime="alpaca",
+            failure_model=ScriptedFailures([fail_at]),
+            step_observer=lambda now, step: observed.append((now, step)),
+        )
+        boot_us = result.runtime.machine.cost.boot_us
+        by_kind = dict.fromkeys(STEP_KINDS, 0.0)
+        by_kind[BOOT] = active = boot_us
+        cut = 0
+        for now, step in observed:
+            if now < fail_at < now + step.duration_us:
+                cut += 1
+                by_kind[step.kind] += fail_at - now
+                active += fail_at - now
+                by_kind[BOOT] += boot_us  # the reboot after the failure
+                active += boot_us
+            else:
+                by_kind[step.kind] += step.duration_us
+                active += step.duration_us
+        assert cut == 1
+        m = result.metrics
+        assert m.power_failures == 1
+        assert m.app_time_us == by_kind[APP] + by_kind[IO]
+        assert m.overhead_time_us == by_kind[OVERHEAD]
+        assert m.boot_time_us == by_kind[BOOT] == 2 * boot_us
+        assert m.active_time_us == active

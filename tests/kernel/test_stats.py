@@ -1,9 +1,13 @@
-"""Unit tests for steps, run statistics, and metrics."""
+"""Unit tests for steps and the per-run metrics record.
+
+The executor's per-kind step accounting is tested at the executor
+(``tests/kernel/test_executor.py::TestStepAccounting``).
+"""
 
 import pytest
 
 from repro.errors import ReproError
-from repro.kernel.stats import APP, BOOT, IO, OVERHEAD, Metrics, RunStats, Step
+from repro.kernel.stats import APP, OVERHEAD, Metrics, Step
 
 
 class TestStep:
@@ -21,24 +25,6 @@ class TestStep:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ReproError):
             Step(1.0, "misc")
-
-
-class TestRunStats:
-    def test_charge_accumulates_by_kind(self):
-        stats = RunStats()
-        stats.charge(Step(10.0, APP))
-        stats.charge(Step(5.0, IO))
-        stats.charge(Step(3.0, OVERHEAD))
-        stats.charge(Step(2.0, BOOT))
-        assert stats.active_time_us == 20.0
-        assert stats.useful_time_us == 15.0
-        assert stats.overhead_time_us == 3.0
-        assert stats.boot_time_us == 2.0
-
-    def test_partial_charge(self):
-        stats = RunStats()
-        stats.charge(Step(10.0, APP), executed_us=4.0)
-        assert stats.active_time_us == 4.0
 
 
 def _metrics(**overrides):

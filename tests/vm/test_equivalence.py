@@ -9,10 +9,11 @@ NV memory image and the same differential-checker verdicts on both
 paths.  A divergence here means the compiler changed semantics, not
 just speed.
 
-Every VM cell must also have *run bytecode*: :func:`repro.vm.lower`
-returns ``None`` on anything it cannot compile and the executor then
-quietly runs the generator, which would let the matrix pass without
-exercising the VM at all.
+Each side must also have run its own loop: on the VM path every
+runtime carries bytecode (:func:`repro.vm.lower` raises on anything it
+cannot compile; nothing falls back to the interpreter), and on the
+reference path none does.  The ``_vm`` and ``vm.runs`` assertions pin
+both, so the matrix can never compare a path with itself.
 """
 
 import pytest
